@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use predpkt_bench::args::{write_bench_json, BenchArgs, JsonValue};
 use predpkt_bench::loopback::bench_opts;
-use predpkt_core::{CoEmuConfig, FabricLinkSelect, FabricSession, ModePolicy, SocBlueprint};
+use predpkt_core::{CoEmuConfig, FabricSession, ModePolicy, SocBlueprint, TransportSelect};
 use predpkt_workloads::figure2_soc;
 
 /// Domain counts swept (the full mesh grows quadratically in links: 1, 6,
@@ -37,7 +37,7 @@ fn config() -> CoEmuConfig {
 fn run_fabric(
     blueprint: &SocBlueprint,
     domains: usize,
-    link: FabricLinkSelect,
+    link: TransportSelect,
     cycles: u64,
 ) -> (std::time::Duration, FabricSession) {
     let mut session = FabricSession::from_blueprint(blueprint, domains)
@@ -79,13 +79,13 @@ fn probe_bit_identity() -> bool {
     let (_, baseline) = run_fabric(
         &blueprint,
         PROBE_DOMAINS,
-        FabricLinkSelect::Queue(bench_opts()),
+        TransportSelect::Queue,
         PROBE_CYCLES,
     );
     let (_, threaded) = run_fabric(
         &blueprint,
         PROBE_DOMAINS,
-        FabricLinkSelect::Threaded(bench_opts()),
+        TransportSelect::Threaded(bench_opts()),
         PROBE_CYCLES,
     );
     let identical =
@@ -122,13 +122,13 @@ fn main() {
         let _ = run_fabric(
             &blueprint,
             n,
-            FabricLinkSelect::Threaded(bench_opts()),
+            TransportSelect::Threaded(bench_opts()),
             cycles.min(60),
         );
         let (wall, session) = run_fabric(
             &blueprint,
             n,
-            FabricLinkSelect::Threaded(bench_opts()),
+            TransportSelect::Threaded(bench_opts()),
             cycles,
         );
         let links = n * (n - 1) / 2;

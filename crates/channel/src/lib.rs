@@ -11,8 +11,10 @@
 //!   paper's exact constants.
 //! * [`Packet`] — a word-addressed payload with a message tag.
 //! * [`Transport`] — the pluggable mailbox abstraction between the two
-//!   domains. Five backends ship with the crate: the deterministic in-process
-//!   [`QueueTransport`], the real-thread [`ThreadedTransport`] (each
+//!   domains; a [`Link`] is any transport that can also block, be probed,
+//!   and be checkpointed, so a whole layered stack rides as one
+//!   `Box<dyn Link>`. Five backends ship with the crate: the deterministic
+//!   in-process [`QueueTransport`], the real-thread [`ThreadedTransport`] (each
 //!   [`ThreadedEndpoint`] implements [`Transport`] for its own side), the
 //!   socket-backed [`TcpTransport`] (per-side [`TcpEndpoint`]s moving
 //!   length-prefixed frames over `std::net::TcpStream`, for co-emulation
@@ -354,7 +356,9 @@
 //! halted domain keeps pumping acks on every link until *every* peer halts),
 //! and reports per-domain ledgers — bit-identical across queue, threaded,
 //! TCP, shm, and reliable link backends, with `N = 2` degenerating exactly
-//! to the two-domain session.
+//! to the two-domain session. Each edge builds its own, independent model
+//! pair and no state crosses ports: a fabric run is `N(N−1)/2` pairwise
+//! co-emulations multiplexed onto `N` domain threads.
 //!
 //! # Hot-path performance notes
 //!
@@ -438,4 +442,4 @@ pub use tcp::{
     ConnectRetryError, FrameError, RetryPolicy, TcpEndpoint, TcpTransport, MAX_FRAME_WORDS,
 };
 pub use threaded::{ThreadedEndpoint, ThreadedTransport};
-pub use transport::{BatchStats, CostedChannel, QueueTransport, Transport, WaitTransport};
+pub use transport::{BatchStats, CostedChannel, Link, QueueTransport, Transport, WaitTransport};

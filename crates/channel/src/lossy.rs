@@ -440,6 +440,18 @@ impl<T: Transport> Transport for LossyTransport<T> {
     fn batch_stats(&self) -> Option<crate::transport::BatchStats> {
         self.inner.batch_stats()
     }
+
+    fn fault_stats(&self) -> Option<FaultStats> {
+        Some(self.stats)
+    }
+
+    fn recovery_stats(&self) -> Option<crate::RecoveryStats> {
+        self.inner.recovery_stats()
+    }
+
+    fn failure(&self) -> Option<crate::RetryExhausted> {
+        self.inner.failure()
+    }
 }
 
 /// The RNG cursor, fault counters, and the inner transport. The [`FaultSpec`]

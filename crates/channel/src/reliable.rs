@@ -443,13 +443,6 @@ impl<T: Transport> ReliableTransport<T> {
         self.stats
     }
 
-    /// The first frame the layer gave up on, if any — once set, the affected
-    /// direction stops retransmitting so the run can terminate (detected as a
-    /// deadlock and mapped to a typed error by the session layer).
-    pub fn failure(&self) -> Option<RetryExhausted> {
-        self.failure
-    }
-
     /// The configuration in force.
     pub fn config(&self) -> &ReliableConfig {
         &self.config
@@ -1074,6 +1067,21 @@ impl<T: Transport> Transport for ReliableTransport<T> {
 
     fn batch_stats(&self) -> Option<BatchStats> {
         self.inner.batch_stats()
+    }
+
+    fn fault_stats(&self) -> Option<crate::FaultStats> {
+        self.inner.fault_stats()
+    }
+
+    fn recovery_stats(&self) -> Option<RecoveryStats> {
+        Some(self.stats)
+    }
+
+    /// The first frame the layer gave up on, if any — once set, the affected
+    /// direction stops retransmitting so the run can terminate (detected as a
+    /// deadlock and mapped to a typed error by the session layer).
+    fn failure(&self) -> Option<RetryExhausted> {
+        self.failure.or_else(|| self.inner.failure())
     }
 
     /// Logical packets still owed to `to`: decoded-but-unconsumed deliveries

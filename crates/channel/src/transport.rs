@@ -1,9 +1,12 @@
 //! Transports and the costed channel facade.
 
 use crate::cost::{ChannelCostModel, Side};
+use crate::lossy::FaultStats;
 use crate::message::Packet;
+use crate::poll::{PollReady, Readiness};
+use crate::reliable::{RecoveryStats, RetryExhausted};
 use crate::stats::ChannelStats;
-use predpkt_sim::{Snapshot, VirtualTime};
+use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter, VirtualTime};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -97,6 +100,26 @@ pub trait Transport {
     fn batch_stats(&self) -> Option<BatchStats> {
         None
     }
+
+    /// Faults injected so far, for a stack with a fault layer
+    /// ([`LossyTransport`](crate::LossyTransport)); `None` without one.
+    /// Wrappers forward their inner transport's counters.
+    fn fault_stats(&self) -> Option<FaultStats> {
+        None
+    }
+
+    /// Recovery counters, for a stack with a reliability layer
+    /// ([`ReliableTransport`](crate::ReliableTransport)); `None` without
+    /// one. Wrappers forward their inner transport's counters.
+    fn recovery_stats(&self) -> Option<RecoveryStats> {
+        None
+    }
+
+    /// The first frame a reliability layer in the stack gave up on, if any.
+    /// Wrappers forward their inner transport's answer.
+    fn failure(&self) -> Option<RetryExhausted> {
+        None
+    }
 }
 
 /// A [`Transport`] whose receiving end can block awaiting the next packet —
@@ -110,6 +133,75 @@ pub trait WaitTransport: Transport {
     /// or `timeout` elapses. Returns `true` if a subsequent
     /// [`recv`](Transport::recv) may yield a packet.
     fn wait_for_packet(&mut self, timeout: Duration) -> bool;
+}
+
+/// One layered link stack behind a single object-safe type: a transport
+/// that can block, be probed, be checkpointed, and move to a domain thread.
+///
+/// Every backend and wrapper of this crate is a `Link` (the blanket impl
+/// covers any type with the four capabilities), so a session can hold any
+/// stack — a bare endpoint, a fault layer, a reliability layer, or both —
+/// as one `Box<dyn Link>`. The box forwards every [`Transport`] method,
+/// the batch and counter hooks included, so a boxed socket still makes
+/// one physical write per batch.
+pub trait Link: WaitTransport + PollReady + Snapshot + Send {}
+
+impl<T: WaitTransport + PollReady + Snapshot + Send> Link for T {}
+
+impl Transport for Box<dyn Link> {
+    fn send(&mut self, from: Side, packet: Packet) {
+        (**self).send(from, packet);
+    }
+
+    fn recv(&mut self, to: Side) -> Option<Packet> {
+        (**self).recv(to)
+    }
+
+    fn pending(&self, to: Side) -> usize {
+        (**self).pending(to)
+    }
+
+    fn send_ref(&mut self, from: Side, packet: &Packet) {
+        (**self).send_ref(from, packet);
+    }
+
+    fn send_batch(&mut self, from: Side, packets: &mut Vec<Packet>) {
+        (**self).send_batch(from, packets);
+    }
+
+    fn send_batch_ref(&mut self, from: Side, packets: &mut dyn Iterator<Item = &Packet>) {
+        (**self).send_batch_ref(from, packets);
+    }
+
+    fn drain(&mut self, to: Side, out: &mut Vec<Packet>) {
+        (**self).drain(to, out);
+    }
+
+    fn batch_stats(&self) -> Option<BatchStats> {
+        (**self).batch_stats()
+    }
+
+    fn fault_stats(&self) -> Option<FaultStats> {
+        (**self).fault_stats()
+    }
+
+    fn recovery_stats(&self) -> Option<RecoveryStats> {
+        (**self).recovery_stats()
+    }
+
+    fn failure(&self) -> Option<RetryExhausted> {
+        (**self).failure()
+    }
+}
+
+impl Snapshot for Box<dyn Link> {
+    fn save(&self, w: &mut StateWriter<'_>) {
+        (**self).save(w);
+    }
+
+    fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        (**self).restore(r)
+    }
 }
 
 /// Deterministic in-process transport: two FIFO queues.
@@ -160,6 +252,25 @@ impl Transport for QueueTransport {
         match to {
             Side::Simulator => self.to_sim.len(),
             Side::Accelerator => self.to_acc.len(),
+        }
+    }
+}
+
+/// Both ends of the queue live in one object, so nothing can arrive while a
+/// caller waits: waiting only reports whether a packet is already queued.
+impl WaitTransport for QueueTransport {
+    fn wait_for_packet(&mut self, _timeout: Duration) -> bool {
+        !self.to_acc.is_empty() || !self.to_sim.is_empty()
+    }
+}
+
+/// `Ready` while any packet is queued, in either direction.
+impl PollReady for QueueTransport {
+    fn readiness(&mut self) -> Readiness {
+        if self.to_acc.is_empty() && self.to_sim.is_empty() {
+            Readiness::Idle
+        } else {
+            Readiness::Ready
         }
     }
 }
@@ -220,7 +331,7 @@ pub struct CostedChannel<T = QueueTransport> {
     /// When set, sends are billed immediately but parked in the outbox until
     /// [`flush`](Self::flush) (or the next receive) pushes them to the
     /// transport as one batch — the per-scheduling-slice coalescing the
-    /// threaded session runner uses. Billing order and amounts are identical
+    /// endpoint session runner uses. Billing order and amounts are identical
     /// to the unbatched path, so statistics and ledgers cannot diverge.
     batching: bool,
     outbox: Vec<Packet>,

@@ -7,8 +7,8 @@
 //! batch entry points.
 
 use predpkt_channel::{
-    ChannelCostModel, FaultSpec, LossyTransport, Packet, PacketTag, QueueTransport, ReliableConfig,
-    ReliableTransport, ShmTransport, Side, TcpTransport, Transport, WaitTransport,
+    ChannelCostModel, FaultSpec, Link, LossyTransport, Packet, PacketTag, QueueTransport,
+    ReliableConfig, ReliableTransport, ShmTransport, Side, TcpTransport, Transport, WaitTransport,
 };
 use std::time::Duration;
 
@@ -124,6 +124,36 @@ fn tcp_batch_matches_sequential_and_coalesces_writes() {
         bat_stats.physical_writes, 1,
         "the batch coalesces into a single write"
     );
+}
+
+/// A session holds every link stack as a `Box<dyn Link>`: the box must
+/// forward the batch hooks, or a boxed socket would fall back to one write
+/// per frame.
+#[test]
+fn boxed_tcp_link_keeps_one_write_per_batch() {
+    let packets = packet_mix();
+    let (sim, mut acc) = TcpTransport::loopback_pair().expect("loopback");
+    let mut link: Box<dyn Link> = Box::new(sim);
+    link.send_batch(Side::Simulator, &mut packets.clone());
+    let mut got = Vec::new();
+    while got.len() < packets.len() {
+        assert!(
+            acc.wait_for_packet(Duration::from_secs(10)),
+            "socket starved at {}/{}",
+            got.len(),
+            packets.len()
+        );
+        acc.drain(Side::Accelerator, &mut got);
+    }
+    assert_eq!(got, packets);
+    let stats = link.batch_stats().expect("a socket reports batch stats");
+    assert_eq!(stats.frames, packets.len() as u64);
+    assert_eq!(
+        stats.physical_writes, 1,
+        "the boxed batch is still one write"
+    );
+    assert_eq!(link.fault_stats(), None);
+    assert_eq!(link.recovery_stats(), None);
 }
 
 #[test]

@@ -5,11 +5,12 @@ use crate::checkpoint::{restore_section, save_section, CheckpointError, SessionC
 use crate::model::DomainModel;
 use crate::observer::{EmuObserver, NoopObserver};
 use crate::report::PerfReport;
+use crate::session::Engine;
 use crate::wrapper::{ChannelWrapper, CwStats, DomainCosts, ModePolicy, Progress};
 use crate::AhbDomainModel;
 use predpkt_ahb::bus::BusConfigError;
 use predpkt_channel::{
-    ChannelCostModel, ChannelStats, CostedChannel, QueueTransport, Side, Transport,
+    ChannelCostModel, ChannelStats, CostedChannel, Link, QueueTransport, Side, Transport,
 };
 use predpkt_sim::{CostCategory, Frequency, SimError, Snapshot, TimeLedger, Trace, VirtualTime};
 use std::error::Error;
@@ -46,6 +47,10 @@ pub enum ConfigError {
         /// The rejected domain count.
         domains: usize,
     },
+    /// A fabric session was asked for the lossy in-process queue, which has
+    /// no per-link endpoints to carry a fabric (inject fabric faults through
+    /// a TCP or shm fault plan instead).
+    LossyFabric,
 }
 
 impl ConfigError {
@@ -94,6 +99,10 @@ impl fmt::Display for ConfigError {
             ConfigError::TooFewDomains { domains } => {
                 write!(f, "a fabric needs at least two domains (got {domains})")
             }
+            ConfigError::LossyFabric => write!(
+                f,
+                "the lossy queue backend has no fabric form; use a tcp or shm fault plan"
+            ),
         }
     }
 }
@@ -102,7 +111,7 @@ impl Error for ConfigError {}
 
 /// Builds the two channel wrappers from a model pair and a configuration —
 /// the single place wrapper knobs are wired, shared by the co-operative
-/// engine and the threaded session runner so the backends can never drift.
+/// engine and the endpoint runner so the backends can never drift.
 ///
 /// # Panics
 ///
@@ -200,20 +209,6 @@ impl CoEmuConfig {
         Ok(self)
     }
 
-    /// Overrides the LOB depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `try_lob_depth`, which reports invalid depths"
-    )]
-    pub fn lob_depth(self, depth: usize) -> Self {
-        self.try_lob_depth(depth)
-            .expect("LOB depth must be non-zero")
-    }
-
     /// Checks the configuration for internal consistency. The
     /// [`EmuSession`](crate::EmuSession) builder calls this before
     /// constructing anything.
@@ -271,23 +266,24 @@ impl CoEmuConfig {
         self
     }
 
-    pub(crate) fn costs_for(&self, side: Side) -> DomainCosts {
-        match side {
-            Side::Simulator => DomainCosts {
+    /// Both domains' virtual-time cost parameters, simulator side first.
+    pub(crate) fn costs(&self) -> [DomainCosts; 2] {
+        [
+            DomainCosts {
                 cycle: self.sim_speed.cycle_time(),
                 category: CostCategory::Simulator,
                 store_per_var: self.sim_store_per_var,
                 restore_per_var: self.sim_store_per_var,
                 rollback_vars_override: self.rollback_vars_override,
             },
-            Side::Accelerator => DomainCosts {
+            DomainCosts {
                 cycle: self.acc_speed.cycle_time(),
                 category: CostCategory::Accelerator,
                 store_per_var: self.acc_store_per_var,
                 restore_per_var: self.acc_store_per_var,
                 rollback_vars_override: self.rollback_vars_override,
             },
-        }
+        ]
     }
 }
 
@@ -418,30 +414,9 @@ impl<M: DomainModel, T: Transport> CoEmulator<M, T> {
     /// Returns [`SimError::Deadlock`] if both domains block with no message in
     /// flight, or any protocol/snapshot error.
     pub fn run_until_committed(&mut self, cycles: u64) -> Result<(), SimError> {
-        let sim_costs = self.config.costs_for(Side::Simulator);
-        let acc_costs = self.config.costs_for(Side::Accelerator);
+        let costs = self.config.costs();
         while self.committed_cycles() < cycles {
-            let a = self.sim.step(
-                &mut self.channel,
-                &mut self.ledger,
-                &sim_costs,
-                self.observer.as_mut(),
-            )?;
-            let b = self.acc.step(
-                &mut self.channel,
-                &mut self.ledger,
-                &acc_costs,
-                self.observer.as_mut(),
-            )?;
-            if a == Progress::Blocked && b == Progress::Blocked {
-                let pending =
-                    self.channel.pending(Side::Simulator) + self.channel.pending(Side::Accelerator);
-                if pending == 0 {
-                    return Err(SimError::Deadlock {
-                        cycle: self.committed_cycles(),
-                    });
-                }
-            }
+            self.round(&costs, [false, false])?;
         }
         Ok(())
     }
@@ -460,54 +435,8 @@ impl<M: DomainModel, T: Transport> CoEmulator<M, T> {
     /// Returns [`SimError::Deadlock`] if the run starves before both domains
     /// reach the target, or any protocol/snapshot error.
     pub fn run_until_synchronized(&mut self, cycles: u64) -> Result<(), SimError> {
-        let sim_costs = self.config.costs_for(Side::Simulator);
-        let acc_costs = self.config.costs_for(Side::Accelerator);
-        loop {
-            let sim_halted = self.sim.at_transition_boundary() && self.sim.cycle() >= cycles;
-            let acc_halted = self.acc.at_transition_boundary() && self.acc.cycle() >= cycles;
-            if sim_halted && acc_halted {
-                return Ok(());
-            }
-            let a = if sim_halted {
-                Progress::Blocked
-            } else {
-                self.sim.step(
-                    &mut self.channel,
-                    &mut self.ledger,
-                    &sim_costs,
-                    self.observer.as_mut(),
-                )?
-            };
-            let b = if acc_halted {
-                Progress::Blocked
-            } else {
-                self.acc.step(
-                    &mut self.channel,
-                    &mut self.ledger,
-                    &acc_costs,
-                    self.observer.as_mut(),
-                )?
-            };
-            if a == Progress::Blocked && b == Progress::Blocked {
-                // Packets addressed to a halted domain can never be consumed,
-                // so only messages toward a still-running side count as
-                // potential progress.
-                let toward = |halted: bool, side: Side| {
-                    if halted {
-                        0
-                    } else {
-                        self.channel.pending(side)
-                    }
-                };
-                let deliverable =
-                    toward(sim_halted, Side::Simulator) + toward(acc_halted, Side::Accelerator);
-                if deliverable == 0 {
-                    return Err(SimError::Deadlock {
-                        cycle: self.committed_cycles(),
-                    });
-                }
-            }
-        }
+        while self.run_slice(cycles, u32::MAX)? != SliceStatus::Done {}
+        Ok(())
     }
 
     /// Runs at most `max_steps` scheduling rounds of the
@@ -527,61 +456,62 @@ impl<M: DomainModel, T: Transport> CoEmulator<M, T> {
     ///
     /// Exactly those of [`run_until_synchronized`](Self::run_until_synchronized).
     pub fn run_slice(&mut self, cycles: u64, max_steps: u32) -> Result<SliceStatus, SimError> {
-        let sim_costs = self.config.costs_for(Side::Simulator);
-        let acc_costs = self.config.costs_for(Side::Accelerator);
+        let costs = self.config.costs();
         for _ in 0..max_steps {
-            let sim_halted = self.sim.at_transition_boundary() && self.sim.cycle() >= cycles;
-            let acc_halted = self.acc.at_transition_boundary() && self.acc.cycle() >= cycles;
-            if sim_halted && acc_halted {
+            let halted = self.halted(cycles);
+            if halted == [true, true] {
                 return Ok(SliceStatus::Done);
             }
-            let a = if sim_halted {
-                Progress::Blocked
-            } else {
-                self.sim.step(
-                    &mut self.channel,
-                    &mut self.ledger,
-                    &sim_costs,
-                    self.observer.as_mut(),
-                )?
-            };
-            let b = if acc_halted {
-                Progress::Blocked
-            } else {
-                self.acc.step(
-                    &mut self.channel,
-                    &mut self.ledger,
-                    &acc_costs,
-                    self.observer.as_mut(),
-                )?
-            };
-            if a == Progress::Blocked && b == Progress::Blocked {
-                let toward = |halted: bool, side: Side| {
-                    if halted {
-                        0
-                    } else {
-                        self.channel.pending(side)
-                    }
-                };
-                let deliverable =
-                    toward(sim_halted, Side::Simulator) + toward(acc_halted, Side::Accelerator);
-                if deliverable == 0 {
-                    return Err(SimError::Deadlock {
-                        cycle: self.committed_cycles(),
-                    });
-                }
-            }
+            self.round(&costs, halted)?;
         }
         // Re-check the halt condition before yielding: the budget may have
         // run out on exactly the round that finished the run.
-        if self.sim.at_transition_boundary()
-            && self.sim.cycle() >= cycles
-            && self.acc.at_transition_boundary()
-            && self.acc.cycle() >= cycles
-        {
+        if self.halted(cycles) == [true, true] {
             return Ok(SliceStatus::Done);
         }
         Ok(SliceStatus::Working)
+    }
+
+    /// Which domains stand halted at a transition boundary with `cycles`
+    /// committed (simulator first).
+    fn halted(&self, cycles: u64) -> [bool; 2] {
+        [&self.sim, &self.acc].map(|w| w.at_transition_boundary() && w.cycle() >= cycles)
+    }
+
+    /// One scheduling round: steps each domain not `halted`, then fails with
+    /// [`SimError::Deadlock`] if both are blocked with nothing in flight
+    /// toward a running domain (packets addressed to a halted domain can
+    /// never be consumed, so only those count as potential progress).
+    fn round(&mut self, costs: &[DomainCosts; 2], halted: [bool; 2]) -> Result<(), SimError> {
+        let mut blocked = true;
+        for (wrapper, costs, halted) in [
+            (&mut self.sim, &costs[0], halted[0]),
+            (&mut self.acc, &costs[1], halted[1]),
+        ] {
+            if !halted {
+                let progress = wrapper.step(
+                    &mut self.channel,
+                    &mut self.ledger,
+                    costs,
+                    self.observer.as_mut(),
+                )?;
+                blocked &= progress == Progress::Blocked;
+            }
+        }
+        let toward = |halted: bool, side: Side| {
+            if halted {
+                0
+            } else {
+                self.channel.pending(side)
+            }
+        };
+        if blocked && toward(halted[0], Side::Simulator) + toward(halted[1], Side::Accelerator) == 0
+        {
+            return Err(SimError::Deadlock {
+                cycle: self.committed_cycles(),
+            });
+        }
+        Ok(())
     }
 
     /// Shared access to the transport backend (e.g. to read
@@ -746,6 +676,36 @@ impl<M: DomainModel, T: Transport + Snapshot> CoEmulator<M, T> {
     /// [`CheckpointError::Snapshot`] if a component rejects its words — the
     /// engine is then **poisoned** and refuses further steps.
     pub fn restore(&mut self, ckpt: &SessionCheckpoint) -> Result<(), CheckpointError> {
+        self.restore_from(ckpt)
+    }
+}
+
+impl<M: DomainModel> Engine<M> for CoEmulator<M, Box<dyn Link>> {
+    fn wrappers(&self) -> (&ChannelWrapper<M>, &ChannelWrapper<M>) {
+        (&self.sim, &self.acc)
+    }
+
+    fn channels(&self) -> Vec<(&CostedChannel<Box<dyn Link>>, &TimeLedger)> {
+        vec![(&self.channel, &self.ledger)]
+    }
+
+    fn config(&self) -> &CoEmuConfig {
+        &self.config
+    }
+
+    fn run_to(&mut self, cycles: u64) -> Result<(), SimError> {
+        self.run_until_synchronized(cycles)
+    }
+
+    fn slice_to(&mut self, target: u64, max_steps: u32) -> Result<SliceStatus, SimError> {
+        self.run_slice(target, max_steps)
+    }
+
+    fn save_sections(&self, ckpt: &mut SessionCheckpoint) -> Result<(), CheckpointError> {
+        self.checkpoint_into(ckpt)
+    }
+
+    fn restore_sections(&mut self, ckpt: &SessionCheckpoint) -> Result<(), CheckpointError> {
         self.restore_from(ckpt)
     }
 }

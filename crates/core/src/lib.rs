@@ -24,9 +24,16 @@
 //!   ack-and-retransmit reliable layer over any of them), a predictor suite,
 //!   and [`EmuObserver`] hooks that stream every protocol
 //!   event (mode switches, rollbacks, LOB flushes, channel accesses).
-//! * [`CoEmulator`] is the co-operative engine under the queue-backed
-//!   sessions, now generic over any [`Transport`](predpkt_channel::Transport);
+//! * [`CoEmulator`] is the co-operative engine under the sessions whose two
+//!   domains share one in-process medium, generic over any
+//!   [`Transport`](predpkt_channel::Transport);
 //!   [`CoEmulator::from_blueprint`] remains as a thin compatibility shim.
+//!   Sessions over per-domain endpoints (threads, TCP, shm) run on the
+//!   [`FabricSession`] runner instead, as its one-edge, two-domain case.
+//! * [`FabricSession`] joins `N` domains over a full mesh of links. Each
+//!   edge builds its own, independent model pair from the blueprint and no
+//!   state crosses ports, so a fabric run is `N(N−1)/2` pairwise
+//!   co-emulations multiplexed onto `N` domain threads.
 //! * [`DomainModel`] abstracts the domain content so the same protocol engine
 //!   drives both the real AHB SoC and the controlled-accuracy synthetic
 //!   workloads used to regenerate the paper's parametric evaluation.
@@ -154,6 +161,7 @@ mod blueprint;
 mod checkpoint;
 mod coemu;
 mod fabric;
+mod link;
 mod model;
 mod observer;
 mod protocol;
@@ -165,7 +173,7 @@ pub use ahb_model::AhbDomainModel;
 pub use blueprint::{Placement, SocBlueprint};
 pub use checkpoint::{CheckpointError, SessionCheckpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use coemu::{CoEmuConfig, CoEmulator, ConfigError, SliceStatus};
-pub use fabric::{FabricLinkSelect, FabricReliableInner, FabricSession, FabricSessionBuilder};
+pub use fabric::{FabricSession, FabricSessionBuilder};
 pub use model::{DomainModel, TickKind};
 pub use observer::{EmuEvent, EmuObserver, EventCounters, EventCounts, EventLog, NoopObserver};
 pub use protocol::{Message, ProtocolError};

@@ -392,11 +392,6 @@ impl<M: DomainModel> ChannelWrapper<M> {
         matches!(self.phase, Phase::Elect)
     }
 
-    /// The domain this wrapper drives.
-    pub(crate) fn side(&self) -> Side {
-        self.side
-    }
-
     /// The restore failure that quarantined this wrapper, if any.
     pub(crate) fn poisoned(&self) -> Option<&SnapshotError> {
         self.poisoned.as_ref()

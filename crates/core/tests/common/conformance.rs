@@ -30,7 +30,7 @@ use predpkt_core::{
 use predpkt_sim::VirtualTime;
 use std::time::Duration;
 
-use super::figure2_soc;
+use super::{assert_commits_golden, figure2_soc};
 
 /// One cell of the workload matrix: a mode policy and a target cycle count
 /// over the Fig. 2-shaped SoC.
@@ -204,7 +204,20 @@ pub fn run_workload_with_suite(
     suite: impl predpkt_predict::PredictorSuite + 'static,
 ) -> Observed {
     let blueprint = figure2_soc();
-    let mut session = EmuSession::from_blueprint(&blueprint)
+    observe(
+        &run_session(&blueprint, backend, workload, suite),
+        &blueprint,
+    )
+}
+
+/// Builds a `blueprint` session over `backend` and runs `workload` on it.
+fn run_session(
+    blueprint: &SocBlueprint,
+    backend: TransportSelect,
+    workload: &Workload,
+    suite: impl predpkt_predict::PredictorSuite + 'static,
+) -> EmuSession<AhbDomainModel> {
+    let mut session = EmuSession::from_blueprint(blueprint)
         .config(workload_config(workload))
         .transport(backend)
         .predictors(suite)
@@ -213,12 +226,27 @@ pub fn run_workload_with_suite(
     session
         .run_until_committed(workload.cycles)
         .expect("session completes");
-    observe(&session, &blueprint)
+    session
 }
 
-/// The queue-transport baseline for `workload`.
+/// The queue-transport baseline for `workload`, itself held to the golden
+/// oracle — so every backend compared against it is golden-checked
+/// transitively.
 pub fn baseline(workload: &Workload) -> Observed {
-    run_workload(TransportSelect::Queue, workload)
+    let blueprint = figure2_soc();
+    let session = run_session(
+        &blueprint,
+        TransportSelect::Queue,
+        workload,
+        predpkt_predict::PaperSuite,
+    );
+    let placement = blueprint.placement();
+    assert_commits_golden(
+        &blueprint,
+        session.committed_cycles(),
+        &session.merged_trace(|s, a| placement.merge_records(s, a)),
+    );
+    observe(&session, &blueprint)
 }
 
 /// Asserts that `observed` committed exactly what the queue `baseline` did on

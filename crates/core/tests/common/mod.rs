@@ -7,6 +7,7 @@ use predpkt_ahb::masters::{CpuMaster, CpuProfile, DmaDescriptor, DmaMaster, Traf
 use predpkt_ahb::signals::{Hburst, Hsize};
 use predpkt_ahb::slaves::{MemorySlave, PeripheralSlave};
 use predpkt_core::{Side, SocBlueprint};
+use predpkt_sim::Trace;
 
 /// The paper's Fig. 2 shape (see `equivalence.rs`): traffic irregular enough
 /// to exercise predictions, rollbacks, bursts, and conservative fallbacks, so
@@ -44,4 +45,28 @@ pub fn figure2_soc() -> SocBlueprint {
         .slave(Side::Accelerator, 0x0000_2000, 0x1000, || {
             Box::new(PeripheralSlave::new(1))
         })
+}
+
+/// Asserts the paper's correctness oracle: `trace`, a run's merged
+/// committed trace, holds exactly what the monolithic golden simulation of
+/// `blueprint` commits over its first `cycles` cycles (the trace may run
+/// past `cycles`; only that prefix is compared).
+pub fn assert_commits_golden(blueprint: &SocBlueprint, cycles: u64, trace: &Trace) {
+    let mut bus = blueprint.build_golden().expect("golden bus builds");
+    bus.run(cycles);
+    assert!(
+        bus.violations().is_empty(),
+        "golden run must be protocol-clean: {:?}",
+        bus.violations()
+    );
+    let mut prefix = trace.clone();
+    prefix.truncate_to_len(cycles as usize);
+    assert_eq!(
+        prefix.len(),
+        bus.trace().len(),
+        "trace holds fewer than the {cycles} committed cycles"
+    );
+    if let Some(cycle) = prefix.first_divergence(bus.trace()) {
+        panic!("committed trace diverges from golden at cycle {cycle}");
+    }
 }

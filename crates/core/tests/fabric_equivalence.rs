@@ -15,11 +15,10 @@ mod common;
 use common::conformance::{
     shm_opts, tcp_opts, test_opts, workload_config, workload_matrix, Workload,
 };
-use common::figure2_soc;
+use common::{assert_commits_golden, figure2_soc};
 use predpkt_channel::{ChannelStats, FaultSpec, Side};
 use predpkt_core::{
-    EmuSession, FabricLinkSelect, FabricReliableInner, FabricSession, SessionError, SocBlueprint,
-    TransportSelect,
+    EmuSession, FabricSession, ReliableInner, SessionError, SocBlueprint, TransportSelect,
 };
 use predpkt_sim::VirtualTime;
 
@@ -43,28 +42,28 @@ struct FabricObserved {
 /// Every fabric link backend, with its stable name. The queue baseline is
 /// first; fault-injecting variants appear in their fault-free configuration
 /// (seeded fault sweeps have their own test).
-fn fabric_backends() -> Vec<(&'static str, FabricLinkSelect)> {
+fn fabric_backends() -> Vec<(&'static str, TransportSelect)> {
     vec![
-        ("queue", FabricLinkSelect::Queue(test_opts())),
-        ("threaded", FabricLinkSelect::Threaded(test_opts())),
-        ("tcp", FabricLinkSelect::Tcp(tcp_opts())),
-        ("shm", FabricLinkSelect::Shm(shm_opts())),
-        ("shm+file", FabricLinkSelect::Shm(shm_opts().file_backed())),
+        ("queue", TransportSelect::Queue),
+        ("threaded", TransportSelect::Threaded(test_opts())),
+        ("tcp", TransportSelect::Tcp(tcp_opts())),
+        ("shm", TransportSelect::Shm(shm_opts())),
+        ("shm+file", TransportSelect::Shm(shm_opts().file_backed())),
         (
             "reliable+queue",
-            FabricLinkSelect::reliable(FabricReliableInner::Queue(test_opts())),
+            TransportSelect::reliable(ReliableInner::Queue),
         ),
         (
             "reliable+threaded",
-            FabricLinkSelect::reliable(FabricReliableInner::Threaded(test_opts())),
+            TransportSelect::reliable(ReliableInner::Threaded(test_opts())),
         ),
         (
             "reliable+tcp",
-            FabricLinkSelect::reliable(FabricReliableInner::Tcp(tcp_opts())),
+            TransportSelect::reliable(ReliableInner::Tcp(tcp_opts())),
         ),
         (
             "reliable+shm",
-            FabricLinkSelect::reliable(FabricReliableInner::Shm(shm_opts())),
+            TransportSelect::reliable(ReliableInner::Shm(shm_opts())),
         ),
     ]
 }
@@ -93,9 +92,19 @@ fn observe_fabric(session: &FabricSession, blueprint: &SocBlueprint) -> FabricOb
     }
 }
 
-fn run_fabric(n: usize, link: FabricLinkSelect, workload: &Workload) -> FabricObserved {
+fn run_fabric(n: usize, link: TransportSelect, workload: &Workload) -> FabricObserved {
     let blueprint = figure2_soc();
-    let mut session = FabricSession::from_blueprint(&blueprint, n)
+    observe_fabric(&fabric_session(n, link, workload, &blueprint), &blueprint)
+}
+
+/// Builds an `n`-domain `blueprint` fabric over `link` and runs `workload`.
+fn fabric_session(
+    n: usize,
+    link: TransportSelect,
+    workload: &Workload,
+    blueprint: &SocBlueprint,
+) -> FabricSession {
+    let mut session = FabricSession::from_blueprint(blueprint, n)
         .config(workload_config(workload))
         .link(link)
         .build()
@@ -103,13 +112,30 @@ fn run_fabric(n: usize, link: FabricLinkSelect, workload: &Workload) -> FabricOb
     session
         .run_until_committed(workload.cycles)
         .expect("fabric session completes");
+    session
+}
+
+/// The co-operative queue-fabric baseline, with every edge held to the
+/// golden oracle — so every backend compared against it is golden-checked
+/// transitively.
+fn queue_baseline(n: usize, workload: &Workload) -> FabricObserved {
+    let blueprint = figure2_soc();
+    let session = fabric_session(n, TransportSelect::Queue, workload, &blueprint);
+    let placement = blueprint.placement();
+    for edge in 0..session.edges().len() {
+        assert_commits_golden(
+            &blueprint,
+            session.committed_cycles(),
+            &session.edge_trace(edge, |s, a| placement.merge_records(s, a)),
+        );
+    }
     observe_fabric(&session, &blueprint)
 }
 
 /// The whole-matrix conformance sweep for an `n`-domain fabric.
 fn assert_fabric_conformance(n: usize) {
     for workload in workload_matrix() {
-        let baseline = run_fabric(n, FabricLinkSelect::Queue(test_opts()), &workload);
+        let baseline = queue_baseline(n, &workload);
         assert_eq!(
             baseline.domains.len(),
             n,
@@ -165,9 +191,9 @@ fn eight_domain_fabric_conforms_across_backends() {
 fn faulted_reliable_fabric_matches_clean_baseline() {
     let workload = workload_matrix().remove(0);
     for n in [2usize, 3] {
-        let baseline = run_fabric(n, FabricLinkSelect::Queue(test_opts()), &workload);
+        let baseline = queue_baseline(n, &workload);
         for seed in [11u64, 97] {
-            let faulted = FabricLinkSelect::reliable(FabricReliableInner::Tcp(
+            let faulted = TransportSelect::reliable(ReliableInner::Tcp(
                 tcp_opts().fault(FaultSpec::drops(seed, 0.15)),
             ));
             let observed = run_fabric(n, faulted, &workload);

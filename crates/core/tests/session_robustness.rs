@@ -198,13 +198,3 @@ fn try_lob_depth_validates_and_sets() {
     assert_eq!(config.lob_depth, 16);
     assert!(config.validate().is_ok());
 }
-
-#[test]
-fn deprecated_lob_depth_shim_still_panics() {
-    #[allow(deprecated)]
-    let result = std::panic::catch_unwind(|| CoEmuConfig::paper_defaults().lob_depth(0));
-    assert!(
-        result.is_err(),
-        "the compatibility shim keeps the panicking contract"
-    );
-}

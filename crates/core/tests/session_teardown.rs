@@ -330,24 +330,22 @@ fn a_sliced_session_on_a_dead_medium_fails_fast_not_forever() {
 // N-domain fabric teardown: the same contract, three domains at a time.
 // ---------------------------------------------------------------------------
 
-use predpkt_core::{FabricLinkSelect, FabricReliableInner, FabricSession};
+use predpkt_core::FabricSession;
 
-fn fabric_backends() -> Vec<(&'static str, FabricLinkSelect)> {
+fn fabric_backends() -> Vec<(&'static str, TransportSelect)> {
     vec![
-        ("fabric+threaded", FabricLinkSelect::Threaded(snappy())),
+        ("fabric+threaded", TransportSelect::Threaded(snappy())),
         (
             "fabric+tcp",
-            FabricLinkSelect::Tcp(TcpOptions::default().threaded(snappy())),
+            TransportSelect::Tcp(TcpOptions::default().threaded(snappy())),
         ),
         (
             "fabric+shm",
-            FabricLinkSelect::Shm(ShmOptions::default().threaded(snappy())),
+            TransportSelect::Shm(ShmOptions::default().threaded(snappy())),
         ),
         (
             "fabric+reliable+tcp",
-            FabricLinkSelect::reliable(FabricReliableInner::Tcp(
-                TcpOptions::default().threaded(snappy()),
-            )),
+            TransportSelect::reliable(ReliableInner::Tcp(TcpOptions::default().threaded(snappy()))),
         ),
     ]
 }
@@ -396,7 +394,7 @@ fn a_fabric_with_one_wedged_link_wakes_every_blocked_domain() {
     within("fabric tcp+drops", Duration::from_secs(30), || {
         let mut session = FabricSession::from_blueprint(&figure2_soc(), 3)
             .config(config())
-            .link(FabricLinkSelect::Tcp(
+            .link(TransportSelect::Tcp(
                 TcpOptions::default()
                     .threaded(snappy())
                     .fault(FaultSpec::drops(0xdead, 1.0)),
@@ -421,7 +419,7 @@ fn repeated_fabric_shm_sessions_release_their_region_files() {
         for i in 0..32 {
             let mut session = FabricSession::from_blueprint(&figure2_soc(), 3)
                 .config(config())
-                .link(FabricLinkSelect::Shm(
+                .link(TransportSelect::Shm(
                     ShmOptions::default().threaded(snappy()).file_backed(),
                 ))
                 .build()
@@ -446,7 +444,7 @@ fn repeated_fabric_socket_sessions_release_their_descriptors() {
             for i in 0..32 {
                 let mut session = FabricSession::from_blueprint(&figure2_soc(), 3)
                     .config(config())
-                    .link(FabricLinkSelect::Tcp(
+                    .link(TransportSelect::Tcp(
                         TcpOptions::default().threaded(snappy()),
                     ))
                     .build()

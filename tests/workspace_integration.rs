@@ -1,10 +1,13 @@
 //! Workspace-level integration: the umbrella crate's public API drives every
 //! subsystem together — blueprints → co-emulation → reports → analytic model.
 
+use predpkt::core::{FabricSession, ReliableInner, ShmOptions, TcpOptions};
 use predpkt::prelude::*;
+use predpkt::sim::Trace;
 use predpkt::workloads::{
     dma_offload_soc, figure2_soc, irq_driven_soc, split_heavy_soc, stream_soc,
 };
+use std::time::Duration;
 
 fn golden_hash(blueprint: &SocBlueprint, cycles: u64) -> u64 {
     let mut bus = blueprint.build_golden().expect("golden builds");
@@ -25,6 +28,83 @@ fn coemu_hash(blueprint: &SocBlueprint, policy: ModePolicy, cycles: u64) -> (u64
     let mut merged = coemu.merged_trace(|s, a| placement.merge_records(s, a));
     merged.truncate_to_len(cycles as usize);
     (merged.hash(), coemu.report())
+}
+
+/// Asserts a merged committed trace matches golden over `cycles` cycles.
+fn assert_commits_golden(blueprint: &SocBlueprint, cycles: u64, mut merged: Trace, what: &str) {
+    merged.truncate_to_len(cycles as usize);
+    assert_eq!(
+        merged.hash(),
+        golden_hash(blueprint, cycles),
+        "{what} diverged from golden"
+    );
+}
+
+#[test]
+fn every_session_backend_and_a_fabric_commit_golden_traces() {
+    let blueprint = figure2_soc(7);
+    let placement = blueprint.placement();
+    let opts = ThreadedOpts {
+        poll_interval: Duration::from_micros(500),
+        deadlock_timeout: Duration::from_secs(10),
+    };
+    let tcp = TcpOptions::default().threaded(opts);
+    let shm = ShmOptions::default().threaded(opts);
+    let backends = [
+        ("queue", TransportSelect::Queue),
+        ("lossy", TransportSelect::Lossy(FaultSpec::none(1))),
+        ("threaded", TransportSelect::Threaded(opts)),
+        ("tcp", TransportSelect::Tcp(tcp)),
+        ("shm", TransportSelect::Shm(shm)),
+        (
+            "reliable+queue",
+            TransportSelect::reliable(ReliableInner::Queue),
+        ),
+        (
+            "reliable+lossy",
+            TransportSelect::reliable(ReliableInner::Lossy(FaultSpec::none(2))),
+        ),
+        (
+            "reliable+threaded",
+            TransportSelect::reliable(ReliableInner::Threaded(opts)),
+        ),
+        (
+            "reliable+tcp",
+            TransportSelect::reliable(ReliableInner::Tcp(tcp)),
+        ),
+        (
+            "reliable+shm",
+            TransportSelect::reliable(ReliableInner::Shm(shm)),
+        ),
+    ];
+    for (name, backend) in backends {
+        let mut session = EmuSession::from_blueprint(&blueprint)
+            .policy(ModePolicy::Auto)
+            .transport(backend)
+            .build()
+            .unwrap_or_else(|e| panic!("{name}: session builds: {e}"));
+        assert_eq!(session.backend(), name);
+        session
+            .run_until_committed(200)
+            .unwrap_or_else(|e| panic!("{name}: run completes: {e}"));
+        let merged = session.merged_trace(|s, a| placement.merge_records(s, a));
+        assert_commits_golden(&blueprint, session.committed_cycles(), merged, name);
+    }
+
+    let mut fabric = FabricSession::from_blueprint(&blueprint, 3)
+        .policy(ModePolicy::Auto)
+        .link(TransportSelect::Threaded(opts))
+        .build()
+        .expect("fabric builds");
+    assert_eq!(fabric.backend(), "fabric+threaded");
+    fabric
+        .run_until_committed(200)
+        .expect("fabric run completes");
+    for edge in 0..fabric.edges().len() {
+        let merged = fabric.edge_trace(edge, |s, a| placement.merge_records(s, a));
+        let what = format!("fabric edge {edge}");
+        assert_commits_golden(&blueprint, fabric.committed_cycles(), merged, &what);
+    }
 }
 
 #[test]
