@@ -305,61 +305,6 @@
 //! `ckpt.to_bytes()` over any medium, `SessionCheckpoint::from_bytes` +
 //! `restore` on the far side.
 //!
-//! # Quickstart: an N-domain fabric
-//!
-//! One co-emulation can span more than two domains. A [`Fabric`] hosts the
-//! links of an N-domain **full mesh**: one directed link per domain pair,
-//! every pair an independent two-sided channel. For `N = 4`:
-//!
-//! ```text
-//!        d0 ──────── d1          edge {a,b}, a < b:
-//!        │ ╲        ╱ │            a plays Side::Simulator,
-//!        │   ╲    ╱   │            b plays Side::Accelerator
-//!        │     ╳      │
-//!        │   ╱    ╲   │          links: {0,1} {0,2} {0,3}
-//!        │ ╱        ╲ │                 {1,2} {1,3} {2,3}
-//!        d2 ──────── d3
-//! ```
-//!
-//! **Routing is structural and single-hop**: a packet for domain `d` goes
-//! out on the one link that ends at `d`; no domain ever forwards another
-//! pair's traffic, so there is no routing table to keep consistent and no
-//! ordering hazard across hops. **Roles are fixed by domain order**
-//! ([`FabricEdge::role_of`]): on every edge the lower-numbered domain is the
-//! [`Side::Simulator`] end — a deterministic assignment, which is what lets
-//! N-domain runs be compared bit-for-bit across backends.
-//!
-//! ```
-//! use predpkt_channel::{Fabric, Packet, PacketTag, Side, Transport};
-//!
-//! // All six links of a 4-domain mesh over in-process endpoints; shm_mesh
-//! // packs the same shape into ONE shared region (heap or /dev/shm file),
-//! // and tcp_mesh opens one loopback socket pair per edge.
-//! let fabric = Fabric::threaded_mesh(4);
-//! assert_eq!(fabric.edges().len(), 6);
-//!
-//! // Per-link layering via map: wrap every endpoint in whatever stack the
-//! // deployment needs — fault injection, the reliable ack/retransmit layer,
-//! // or both — with the edge's fixed role picking each wrapper's side:
-//! // fabric.map(|edge, _, role, end| {
-//! //     ReliableTransport::new(end, cfg, model).for_side(role)
-//! // })
-//! let (domains, edges, mut links) = fabric.into_parts();
-//! assert_eq!((domains, edges[0].a(), edges[0].b()), (4, 0, 1));
-//! let (sim, acc) = &mut links[0];
-//! sim.send(Side::Simulator, Packet::new(PacketTag::CycleOutputs, vec![9]));
-//! assert_eq!(acc.recv(Side::Accelerator).unwrap().payload(), &[9]);
-//! ```
-//!
-//! `predpkt-core` builds the full runner on top: a `FabricSession` hosts one
-//! protocol engine pair per edge, runs boundary-halt across all domains (a
-//! halted domain keeps pumping acks on every link until *every* peer halts),
-//! and reports per-domain ledgers — bit-identical across queue, threaded,
-//! TCP, shm, and reliable link backends, with `N = 2` degenerating exactly
-//! to the two-domain session. Each edge builds its own, independent model
-//! pair and no state crosses ports: a fabric run is `N(N−1)/2` pairwise
-//! co-emulations multiplexed onto `N` domain threads.
-//!
 //! # Hot-path performance notes
 //!
 //! The paper's premise is that channel traffic dominates co-emulation cost;
@@ -412,7 +357,6 @@
 #![warn(missing_docs)]
 
 mod cost;
-pub mod fabric;
 mod knob;
 mod lossy;
 mod message;
@@ -426,7 +370,6 @@ mod threaded;
 mod transport;
 
 pub use cost::{ChannelCostModel, Direction, LayeredStartup, Side};
-pub use fabric::{full_mesh, Fabric, FabricEdge};
 pub use knob::KnobError;
 pub use lossy::{FaultSpec, FaultStats, LossyTransport};
 pub use message::{Packet, PacketTag, PacketView};

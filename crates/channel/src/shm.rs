@@ -24,10 +24,10 @@
 //!   two processes, reachable std-only (no `mmap` binding required).
 //!
 //! Both backings scale past one channel: a region holds one or more **link
-//! slots**, each an independent ring pair with its own liveness flags, so an
-//! N-domain fabric ([`ShmTransport::mesh`] / [`ShmTransport::file_mesh`])
-//! carries all of its edges in one shared allocation (or one `/dev/shm`
-//! file) instead of one per link.
+//! slots**, each an independent ring pair with its own liveness flags, so
+//! several channels ([`ShmTransport::mesh`] / [`ShmTransport::file_mesh`])
+//! can share one allocation (or one `/dev/shm` file) instead of one per
+//! link.
 //!
 //! ## Wire format
 //!
@@ -268,8 +268,8 @@ impl HeapRing {
 }
 
 /// One link's slot within a region: a bidirectional SPSC ring pair plus the
-/// two per-side liveness flags. A two-domain channel uses one slot; an
-/// N-domain fabric packs every edge's slot into a single region.
+/// two per-side liveness flags. A two-domain channel uses one slot; a
+/// multi-link region packs several slots side by side.
 struct LinkSlot {
     alive: [AtomicBool; 2],
     rings: [HeapRing; 2],
@@ -287,10 +287,9 @@ impl LinkSlot {
 /// The in-process shared region: one or more link slots — each a pair of
 /// heap rings plus per-side liveness flags — shared between the
 /// [`ShmEndpoint`]s via [`Arc`]. A plain channel ([`ShmTransport::pair`])
-/// occupies a single-slot region; a fabric mesh
-/// ([`ShmTransport::mesh`]) carries all of its edges' SPSC ring pairs in
-/// *one* region, so an N-domain host pays one shared allocation, not one per
-/// link.
+/// occupies a single-slot region; [`ShmTransport::mesh`] carries several
+/// links' SPSC ring pairs in *one* region, so a host running many channels
+/// pays one shared allocation, not one per link.
 ///
 /// Data words live in [`UnsafeCell`]s; the head/tail atomics carry the only
 /// synchronization. The SPSC discipline makes this sound — see the safety
@@ -433,13 +432,11 @@ mod file_backing {
     pub const SHM_MAGIC: u32 = 0x314b_5050;
     /// Region layout version. Version 2 generalized the single ring pair to
     /// a per-link slot array (`W_LINKS` links, each with its own control
-    /// block and ring pair), so one region file can carry a whole fabric
-    /// mesh; version-1 attachers reject v2 files cleanly via the version
-    /// word.
+    /// block and ring pair), so one region file can carry several links;
+    /// version-1 attachers reject v2 files cleanly via the version word.
     pub const SHM_VERSION: u32 = 2;
     /// Most links one region file may declare — bounds the attach-side
-    /// multiplication before it can size a rogue mapping (4096 links covers
-    /// a 64-domain full mesh).
+    /// multiplication before it can size a rogue mapping.
     pub const MAX_LINKS: u32 = 1 << 12;
 
     // Header word offsets (in u32 words from the start of the file).
@@ -692,11 +689,12 @@ impl ShmTransport {
     }
 
     /// Creates `links` independent in-process channels over **one** shared
-    /// region — the fabric form: an N-domain full mesh packs all of its
-    /// N×(N−1)/2 edge ring pairs into a single allocation. Tuple order per
-    /// link is `(simulator endpoint, accelerator endpoint)`; each link is
-    /// its own SPSC ring pair with its own liveness flags, so links fail and
-    /// tear down independently.
+    /// region — the multi-link form of
+    /// [`pair_with_capacity`](Self::pair_with_capacity), packing every
+    /// link's ring pair into a single allocation. Tuple order per link is
+    /// `(simulator endpoint, accelerator endpoint)`; each link is its own
+    /// SPSC ring pair with its own liveness flags, so links fail and tear
+    /// down independently.
     ///
     /// # Panics
     ///
@@ -906,8 +904,8 @@ impl ShmEndpoint {
     }
 
     /// Creates a region file carrying `links` link slots and returns the
-    /// creating endpoint for `side` on **link 0** — the multi-process fabric
-    /// form of [`create`](Self::create). Peer endpoints (including this
+    /// creating endpoint for `side` on **link 0** — the multi-link form of
+    /// [`create`](Self::create). Peer endpoints (including this
     /// process's other links) call [`attach_link`](Self::attach_link) with
     /// the same path.
     ///
@@ -943,7 +941,7 @@ impl ShmEndpoint {
     }
 
     /// Attaches to link slot `link` of an existing multi-link region file —
-    /// the fabric form of [`attach`](Self::attach).
+    /// the multi-link form of [`attach`](Self::attach).
     ///
     /// # Errors
     ///

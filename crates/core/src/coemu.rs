@@ -41,16 +41,6 @@ pub enum ConfigError {
         /// Why the value was rejected.
         detail: String,
     },
-    /// A fabric session was asked for fewer than two domains — there is no
-    /// channel to co-emulate over.
-    TooFewDomains {
-        /// The rejected domain count.
-        domains: usize,
-    },
-    /// A fabric session was asked for the lossy in-process queue, which has
-    /// no per-link endpoints to carry a fabric (inject fabric faults through
-    /// a TCP or shm fault plan instead).
-    LossyFabric,
 }
 
 impl ConfigError {
@@ -96,13 +86,6 @@ impl fmt::Display for ConfigError {
             ConfigError::InvalidReliableConfig { field, detail } => {
                 write!(f, "invalid reliable transport config: {field}: {detail}")
             }
-            ConfigError::TooFewDomains { domains } => {
-                write!(f, "a fabric needs at least two domains (got {domains})")
-            }
-            ConfigError::LossyFabric => write!(
-                f,
-                "the lossy queue backend has no fabric form; use a tcp or shm fault plan"
-            ),
         }
     }
 }

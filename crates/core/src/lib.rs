@@ -29,11 +29,9 @@
 //!   [`Transport`](predpkt_channel::Transport);
 //!   [`CoEmulator::from_blueprint`] remains as a thin compatibility shim.
 //!   Sessions over per-domain endpoints (threads, TCP, shm) run on the
-//!   [`FabricSession`] runner instead, as its one-edge, two-domain case.
-//! * [`FabricSession`] joins `N` domains over a full mesh of links. Each
-//!   edge builds its own, independent model pair from the blueprint and no
-//!   state crosses ports, so a fabric run is `N(N−1)/2` pairwise
-//!   co-emulations multiplexed onto `N` domain threads.
+//!   endpoint engine instead: one port per side over one link pair, one
+//!   OS thread per side, or both sides stepped on the calling thread when
+//!   the session is [sliced](SlicedSession).
 //! * [`DomainModel`] abstracts the domain content so the same protocol engine
 //!   drives both the real AHB SoC and the controlled-accuracy synthetic
 //!   workloads used to regenerate the paper's parametric evaluation.
@@ -160,7 +158,7 @@ mod ahb_model;
 mod blueprint;
 mod checkpoint;
 mod coemu;
-mod fabric;
+mod endpoint;
 mod link;
 mod model;
 mod observer;
@@ -173,7 +171,6 @@ pub use ahb_model::AhbDomainModel;
 pub use blueprint::{Placement, SocBlueprint};
 pub use checkpoint::{CheckpointError, SessionCheckpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use coemu::{CoEmuConfig, CoEmulator, ConfigError, SliceStatus};
-pub use fabric::{FabricSession, FabricSessionBuilder};
 pub use model::{DomainModel, TickKind};
 pub use observer::{EmuEvent, EmuObserver, EventCounters, EventCounts, EventLog, NoopObserver};
 pub use protocol::{Message, ProtocolError};
@@ -186,4 +183,3 @@ pub use wrapper::{ChannelWrapper, CwStats, ModePolicy, PaperPath, Progress};
 
 // Re-export the pieces users need to drive the engine.
 pub use predpkt_channel::Side;
-pub use predpkt_channel::{full_mesh, FabricEdge};

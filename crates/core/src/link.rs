@@ -1,22 +1,22 @@
 //! Lowering a [`TransportSelect`] into boxed link stacks — the one place a
-//! backend selection turns into transports, shared by the two-domain
-//! session and the N-domain fabric builders — plus the folds both read
-//! their per-link counters and failures through.
+//! backend selection turns into transports — plus the folds the session
+//! reads its per-link counters and failures through.
 
 use crate::coemu::{ConfigError, SliceStatus};
 use crate::session::{ReliableInner, SessionError, ShmOptions, ThreadedOpts, TransportSelect};
 use predpkt_channel::{
-    ChannelCostModel, Fabric, FaultSpec, Link, LossyTransport, QueueTransport, ReliableConfig,
-    ReliableTransport, RetryExhausted, Side, TransportDead,
+    ChannelCostModel, FaultSpec, Link, LossyTransport, QueueTransport, ReliableConfig,
+    ReliableTransport, RetryExhausted, ShmEndpoint, ShmTransport, Side, TcpTransport,
+    ThreadedTransport, TransportDead,
 };
 use predpkt_sim::SimError;
 
 /// The media a selection lowers to.
 pub(crate) enum Medium {
-    /// One in-process medium both domains share (two-domain sessions only).
+    /// One in-process medium both domains share.
     Shared(Box<dyn Link>),
-    /// One endpoint pair per edge of a full mesh.
-    Mesh(Fabric<Box<dyn Link>>),
+    /// One endpoint per side: simulator first, then accelerator.
+    Endpoints(Box<dyn Link>, Box<dyn Link>),
 }
 
 /// What lowering fixed at build time besides the media.
@@ -31,29 +31,19 @@ pub(crate) struct LinkPlan {
     /// when their plan can fire (without one they are transparent shims,
     /// and all-zero counters would wrongly suggest injection was asked for).
     pub(crate) reports_faults: bool,
-    /// Scheduling knobs for the endpoint runners.
+    /// Scheduling knobs for the endpoint runner.
     pub(crate) opts: ThreadedOpts,
-    /// Whether a mesh is stepped co-operatively on the calling thread (the
-    /// queue backends of a fabric) rather than on one thread per domain.
-    pub(crate) cooperative: bool,
 }
 
-/// A medium's backend names: bare, reliable, fabric, reliable fabric.
+/// A medium's backend names: bare, reliable.
 macro_rules! backends {
     ($medium:literal) => {
-        [
-            $medium,
-            concat!("reliable+", $medium),
-            concat!("fabric+", $medium),
-            concat!("fabric+reliable+", $medium),
-        ]
+        [$medium, concat!("reliable+", $medium)]
     };
 }
 
-/// Lowers `select` into link stacks: for a two-domain session
-/// (`fabric = None`) a shared medium (queue, lossy queue) or a one-edge
-/// mesh, for a fabric of `n` domains an `n`-domain mesh (its queue
-/// backends run co-operatively over in-process endpoints).
+/// Lowers `select` into link stacks: a shared medium for the queue and
+/// lossy queue, one endpoint per side for threaded, TCP, and shm.
 ///
 /// Each stack is built bottom-up: the medium; a fault layer where the
 /// select carries a fault plan — the lossy queue, and every socket or ring
@@ -64,12 +54,10 @@ macro_rules! backends {
 ///
 /// # Errors
 ///
-/// [`SessionError::Config`] for an invalid fault plan or reliability knob
-/// and for a lossy-queue fabric; [`SessionError::Io`] when sockets or
-/// region files cannot be set up.
+/// [`SessionError::Config`] for an invalid fault plan or reliability knob;
+/// [`SessionError::Io`] when sockets or region files cannot be set up.
 pub(crate) fn lower(
     select: TransportSelect,
-    fabric: Option<usize>,
     model: ChannelCostModel,
 ) -> Result<(Medium, LinkPlan), SessionError> {
     let (base, reliable) = match select {
@@ -111,57 +99,43 @@ pub(crate) fn lower(
         _ => fault.filter(FaultSpec::is_active),
     };
     let reliable = reliable.map(|config| (config, model));
-    let domains = fabric.unwrap_or(2);
-    let medium = match (base, fabric) {
-        (ReliableInner::Queue | ReliableInner::Lossy(_), None) => {
+    let medium = match base {
+        ReliableInner::Queue | ReliableInner::Lossy(_) => {
             Medium::Shared(stack(QueueTransport::new(), fault, reliable, None)?)
         }
-        (ReliableInner::Lossy(_), Some(_)) => {
-            return Err(SessionError::Config(ConfigError::LossyFabric))
-        }
-        (ReliableInner::Queue | ReliableInner::Threaded(_), _) => {
-            mesh(Fabric::threaded_mesh(domains), None, reliable)?
-        }
-        (ReliableInner::Tcp(opts), _) => mesh(
-            Fabric::tcp_mesh(domains).map_err(SessionError::Io)?,
+        ReliableInner::Threaded(_) => endpoints(ThreadedTransport::pair(), None, reliable)?,
+        ReliableInner::Tcp(opts) => endpoints(
+            TcpTransport::loopback_pair().map_err(SessionError::Io)?,
             Some(opts.fault),
             reliable,
         )?,
-        (ReliableInner::Shm(opts), _) => {
-            mesh(shm_mesh(domains, &opts)?, Some(opts.fault), reliable)?
-        }
+        ReliableInner::Shm(opts) => endpoints(shm_pair(&opts)?, Some(opts.fault), reliable)?,
     };
     let plan = LinkPlan {
-        backend: names[2 * usize::from(fabric.is_some()) + usize::from(reliable.is_some())],
+        backend: names[usize::from(reliable.is_some())],
         replay_seed: plan.map_or(0, |spec| spec.seed),
         reports_faults: plan.is_some(),
         opts,
-        cooperative: matches!(base, ReliableInner::Queue),
     };
     Ok((medium, plan))
 }
 
-/// Wraps every endpoint of `mesh` in its stack. `fault` is `Some` when the
-/// medium carries a fault layer: each endpoint then gets its edge's and
-/// side's plan derived from the base plan ([`edge_fault_spec`]).
-fn mesh<E: Link + 'static>(
-    mesh: Fabric<E>,
+/// Wraps both endpoints of a pair in their stacks. `fault` is `Some` when
+/// the medium carries a fault layer: each endpoint then gets its side's
+/// plan derived from the base plan ([`side_fault_spec`]).
+fn endpoints<E: Link + 'static>(
+    (sim, acc): (E, E),
     fault: Option<Option<FaultSpec>>,
     reliable: Option<(ReliableConfig, ChannelCostModel)>,
 ) -> Result<Medium, SessionError> {
-    let (domains, edges, links) = mesh.into_parts();
-    let links = links
-        .into_iter()
-        .enumerate()
-        .map(|(edge, (sim, acc))| {
-            let end = |end: E, side: Side| {
-                let spec = fault.map(|base| edge_fault_spec(base, edge, side));
-                stack(end, spec, reliable, Some(side))
-            };
-            Ok((end(sim, Side::Simulator)?, end(acc, Side::Accelerator)?))
-        })
-        .collect::<Result<Vec<_>, SessionError>>()?;
-    Ok(Medium::Mesh(Fabric::from_parts(domains, edges, links)))
+    let end = |end: E, side: Side| {
+        let spec = fault.map(|base| side_fault_spec(base, side));
+        stack(end, spec, reliable, Some(side))
+    };
+    Ok(Medium::Endpoints(
+        end(sim, Side::Simulator)?,
+        end(acc, Side::Accelerator)?,
+    ))
 }
 
 /// Stacks the optional fault and reliability layers on `end`, through the
@@ -199,31 +173,26 @@ fn stack<E: Link + 'static>(
     }
 }
 
-/// The fault plan of one endpoint: the base plan's seed decorrelated per
-/// edge (edge 0 keeps it, so a two-domain session and a one-edge fabric
-/// see the same fault stream), then per side — the accelerator end gets a
-/// decorrelated seed so the two directions draw independent streams. A
-/// missing base plan is a transparent one.
-fn edge_fault_spec(fault: Option<FaultSpec>, edge: usize, side: Side) -> FaultSpec {
+/// The fault plan of one endpoint: the simulator end keeps the base plan's
+/// seed, and the accelerator end gets a decorrelated seed so the two
+/// directions draw independent streams. A missing base plan is a
+/// transparent one.
+fn side_fault_spec(fault: Option<FaultSpec>, side: Side) -> FaultSpec {
     let base = fault.unwrap_or(FaultSpec::none(0));
-    let seed = base.seed ^ (edge as u64).wrapping_mul(0xd1b5_4a32_d192_ed03);
     let seed = match side {
-        Side::Simulator => seed,
-        Side::Accelerator => seed ^ 0x9e37_79b9_7f4a_7c15,
+        Side::Simulator => base.seed,
+        Side::Accelerator => base.seed ^ 0x9e37_79b9_7f4a_7c15,
     };
     FaultSpec { seed, ..base }
 }
 
-/// Builds the shm endpoint mesh an [`ShmOptions`] asks for (heap region, or
-/// one `/dev/shm` file under `file_backed`).
-fn shm_mesh(
-    domains: usize,
-    opts: &ShmOptions,
-) -> Result<Fabric<predpkt_channel::ShmEndpoint>, SessionError> {
+/// Builds the shm endpoint pair an [`ShmOptions`] asks for (heap region, or
+/// a `/dev/shm` region file under `file_backed`).
+fn shm_pair(opts: &ShmOptions) -> Result<(ShmEndpoint, ShmEndpoint), SessionError> {
     if opts.file_backed {
         #[cfg(unix)]
         {
-            Fabric::shm_file_mesh(domains, opts.ring_words).map_err(SessionError::Io)
+            ShmTransport::file_pair_with_capacity(opts.ring_words).map_err(SessionError::Io)
         }
         #[cfg(not(unix))]
         {
@@ -233,7 +202,7 @@ fn shm_mesh(
             )))
         }
     } else {
-        Ok(Fabric::shm_mesh(domains, opts.ring_words))
+        Ok(ShmTransport::pair_with_capacity(opts.ring_words))
     }
 }
 

@@ -19,9 +19,9 @@
 //!     [`LossyTransport`](predpkt_channel::LossyTransport) over the queue,
 //!     injecting seeded drops, truncations, and duplicates for
 //!     protocol-robustness scenarios.
-//! * **The endpoint engine** for media with one endpoint per domain: the
-//!   [`FabricSession`](crate::FabricSession) runner in its one-edge,
-//!   two-domain case, with one OS thread per domain:
+//! * **The endpoint engine** for media with one endpoint per domain: one
+//!   port per side over one link pair, each side on its own OS thread (or
+//!   both stepped on the calling thread when [sliced](SlicedSession)):
 //!   * [`TransportSelect::Threaded`] — in-process mpsc endpoints
 //!     ([`ThreadedTransport`](predpkt_channel::ThreadedTransport)),
 //!     exercising the protocol under genuine concurrency;
@@ -75,7 +75,7 @@
 use crate::blueprint::SocBlueprint;
 use crate::checkpoint::{CheckpointError, SessionCheckpoint};
 use crate::coemu::{CoEmuConfig, CoEmulator, ConfigError, SliceStatus};
-use crate::fabric::FabricCore;
+use crate::endpoint::EndpointCore;
 use crate::link::{
     lower, map_reliable_outcome, map_reliable_slice, merge_reports, LinkPlan, Medium,
 };
@@ -410,21 +410,20 @@ impl<M: DomainModel + Send + 'static> EmuSessionBuilder<M> {
     /// Panics if the two models' sides or widths disagree.
     pub fn build(self) -> Result<EmuSession<M>, SessionError> {
         self.config.validate()?;
-        let (medium, plan) = lower(self.transport, None, self.config.channel)?;
+        let (medium, plan) = lower(self.transport, self.config.channel)?;
         let inner = match medium {
             Medium::Shared(link) => SessionInner::Shared(Box::new(
                 CoEmulator::with_transport(self.sim, self.acc, self.config, link)
                     .with_observer(self.observer.unwrap_or_else(|| Box::new(NoopObserver))),
             )),
-            Medium::Mesh(mesh) => {
-                let mut pair = Some((self.sim, self.acc));
-                SessionInner::Endpoints(FabricCore::new(
-                    mesh,
-                    || Ok(pair.take().expect("a two-domain mesh has one edge")),
+            Medium::Endpoints(sim_end, acc_end) => {
+                SessionInner::Endpoints(Box::new(EndpointCore::new(
+                    (self.sim, self.acc),
+                    (sim_end, acc_end),
                     self.config,
-                    &plan,
+                    plan.opts,
                     self.observer,
-                )?)
+                )))
             }
         };
         Ok(EmuSession { inner, plan })
@@ -482,8 +481,8 @@ pub struct EmuSession<M: DomainModel + Send + 'static> {
 enum SessionInner<M: DomainModel + Send + 'static> {
     /// The co-operative engine over a medium both domains share.
     Shared(Box<CoEmulator<M, Box<dyn Link>>>),
-    /// The endpoint engine: one edge, two domains.
-    Endpoints(FabricCore<M>),
+    /// The endpoint engine: one port per side over one link pair.
+    Endpoints(Box<EndpointCore<M>>),
 }
 
 /// What a session needs from its engine, so every accessor is written once.
@@ -531,14 +530,14 @@ impl<M: DomainModel + Send + 'static> EmuSession<M> {
     fn engine(&self) -> &dyn Engine<M> {
         match &self.inner {
             SessionInner::Shared(c) => c.as_ref(),
-            SessionInner::Endpoints(f) => f,
+            SessionInner::Endpoints(f) => f.as_ref(),
         }
     }
 
     fn engine_mut(&mut self) -> &mut dyn Engine<M> {
         match &mut self.inner {
             SessionInner::Shared(c) => c.as_mut(),
-            SessionInner::Endpoints(f) => f,
+            SessionInner::Endpoints(f) => f.as_mut(),
         }
     }
 

@@ -157,25 +157,6 @@ impl CwStats {
         (self.checked_predictions > 0)
             .then(|| 1.0 - self.failed_predictions as f64 / self.checked_predictions as f64)
     }
-
-    /// Folds another wrapper's counters into this one — how an N-domain
-    /// fabric aggregates the per-port engines a domain runs (one per peer)
-    /// into that domain's side of a [`PerfReport`](crate::PerfReport).
-    pub fn merge(&mut self, other: &CwStats) {
-        self.transitions += other.transitions;
-        self.clean_transitions += other.clean_transitions;
-        self.rollbacks += other.rollbacks;
-        self.predicted_cycles += other.predicted_cycles;
-        self.replayed_cycles += other.replayed_cycles;
-        self.head_cycles += other.head_cycles;
-        self.conservative_cycles += other.conservative_cycles;
-        self.checked_predictions += other.checked_predictions;
-        self.failed_predictions += other.failed_predictions;
-        self.flushes += other.flushes;
-        for (mine, theirs) in self.path_events.iter_mut().zip(other.path_events) {
-            *mine += theirs;
-        }
-    }
 }
 
 /// Sixteen words: the ten counters in declaration order, then the six

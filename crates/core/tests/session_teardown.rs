@@ -325,134 +325,3 @@ fn a_sliced_session_on_a_dead_medium_fails_fast_not_forever() {
         drop(sliced);
     });
 }
-
-// ---------------------------------------------------------------------------
-// N-domain fabric teardown: the same contract, three domains at a time.
-// ---------------------------------------------------------------------------
-
-use predpkt_core::FabricSession;
-
-fn fabric_backends() -> Vec<(&'static str, TransportSelect)> {
-    vec![
-        ("fabric+threaded", TransportSelect::Threaded(snappy())),
-        (
-            "fabric+tcp",
-            TransportSelect::Tcp(TcpOptions::default().threaded(snappy())),
-        ),
-        (
-            "fabric+shm",
-            TransportSelect::Shm(ShmOptions::default().threaded(snappy())),
-        ),
-        (
-            "fabric+reliable+tcp",
-            TransportSelect::reliable(ReliableInner::Tcp(TcpOptions::default().threaded(snappy()))),
-        ),
-    ]
-}
-
-#[test]
-fn dropping_an_unused_fabric_session_is_immediate() {
-    for (name, link) in fabric_backends() {
-        within(name, Duration::from_secs(10), move || {
-            let session = FabricSession::from_blueprint(&figure2_soc(), 3)
-                .config(config())
-                .link(link)
-                .build()
-                .expect("fabric session builds");
-            drop(session);
-        });
-    }
-}
-
-#[test]
-fn dropping_a_partially_run_fabric_session_joins_all_domains() {
-    // Three domain threads, three links: a mid-run halt must join every
-    // domain thread and close every socket, exactly like the two-domain
-    // session — the N-way done-counting must not strand a thread in the
-    // halt-linger when the session is dropped between runs.
-    for (name, link) in fabric_backends() {
-        within(name, Duration::from_secs(30), move || {
-            let mut session = FabricSession::from_blueprint(&figure2_soc(), 3)
-                .config(config())
-                .link(link)
-                .build()
-                .expect("fabric session builds");
-            session.run_until_committed(120).expect("partial run");
-            assert!(session.committed_cycles() >= 120, "{name}");
-            drop(session);
-        });
-    }
-}
-
-#[test]
-fn a_fabric_with_one_wedged_link_wakes_every_blocked_domain() {
-    // A 100%-drop plan starves *every* link's handshake (the per-edge plans
-    // derive from one base spec). All three domains block; the epoch-based
-    // deadlock detector must fire in one of them, its `stop` broadcast must
-    // wake the other two out of their waits, and the dead session must still
-    // tear down within the watchdog — no domain thread left parked forever.
-    within("fabric tcp+drops", Duration::from_secs(30), || {
-        let mut session = FabricSession::from_blueprint(&figure2_soc(), 3)
-            .config(config())
-            .link(TransportSelect::Tcp(
-                TcpOptions::default()
-                    .threaded(snappy())
-                    .fault(FaultSpec::drops(0xdead, 1.0)),
-            ))
-            .build()
-            .expect("fabric session builds");
-        match session.run_until_committed(1_000) {
-            Err(SimError::Deadlock { .. }) => {}
-            other => panic!("expected starvation deadlock, got {other:?}"),
-        }
-        drop(session);
-    });
-}
-
-#[test]
-fn repeated_fabric_shm_sessions_release_their_region_files() {
-    // Thirty-two sequential file-backed 3-domain fabrics, each packing all
-    // three links into one /dev/shm region file: a leaked region (or a
-    // leaked descriptor per link) would accumulate 32× and break the tail
-    // of the loop.
-    within("fabric shm region churn", Duration::from_secs(60), || {
-        for i in 0..32 {
-            let mut session = FabricSession::from_blueprint(&figure2_soc(), 3)
-                .config(config())
-                .link(TransportSelect::Shm(
-                    ShmOptions::default().threaded(snappy()).file_backed(),
-                ))
-                .build()
-                .unwrap_or_else(|e| panic!("iteration {i}: build failed: {e}"));
-            session
-                .run_until_committed(40)
-                .unwrap_or_else(|e| panic!("iteration {i}: run failed: {e}"));
-        }
-    });
-}
-
-#[test]
-fn repeated_fabric_socket_sessions_release_their_descriptors() {
-    // The fabric multiplies sockets by the edge count (three per 3-domain
-    // mesh): thirty-two sequential runs exercise 96 connections plus their
-    // ephemeral listeners — leaks show up as descriptor exhaustion here
-    // long before they would in the two-domain churn.
-    within(
-        "fabric tcp descriptor churn",
-        Duration::from_secs(60),
-        || {
-            for i in 0..32 {
-                let mut session = FabricSession::from_blueprint(&figure2_soc(), 3)
-                    .config(config())
-                    .link(TransportSelect::Tcp(
-                        TcpOptions::default().threaded(snappy()),
-                    ))
-                    .build()
-                    .unwrap_or_else(|e| panic!("iteration {i}: build failed: {e}"));
-                session
-                    .run_until_committed(40)
-                    .unwrap_or_else(|e| panic!("iteration {i}: run failed: {e}"));
-            }
-        },
-    );
-}

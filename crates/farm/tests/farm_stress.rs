@@ -73,9 +73,12 @@ fn observe(session: &EmuSession<AhbDomainModel>, seed: u64) -> Observed {
 }
 
 /// The direct (unfarmed) baseline for one seed, over the deterministic queue
-/// transport — what *every* transport must commit, farm or no farm.
+/// transport — what *every* transport must commit, farm or no farm. The
+/// baseline itself is held to the golden oracle, so every farm-hosted
+/// session compared against it is golden-checked transitively.
 fn direct_baseline(seed: u64) -> Observed {
-    let mut session = EmuSession::from_blueprint(&figure2_soc(seed))
+    let blueprint = figure2_soc(seed);
+    let mut session = EmuSession::from_blueprint(&blueprint)
         .config(config())
         .transport(TransportSelect::Queue)
         .build()
@@ -83,6 +86,21 @@ fn direct_baseline(seed: u64) -> Observed {
     session
         .run_until_committed(CYCLES)
         .expect("baseline completes");
+    let mut golden = blueprint.build_golden().expect("golden bus builds");
+    golden.run(CYCLES);
+    let placement = blueprint.placement();
+    let mut prefix = session.merged_trace(|s, a| placement.merge_records(s, a));
+    prefix.truncate_to_len(CYCLES as usize);
+    assert_eq!(
+        prefix.len(),
+        golden.trace().len(),
+        "seed {seed}: baseline holds fewer than {CYCLES} committed cycles"
+    );
+    assert_eq!(
+        prefix.first_divergence(golden.trace()),
+        None,
+        "seed {seed}: queue baseline diverges from golden"
+    );
     observe(&session, seed)
 }
 

@@ -34,9 +34,8 @@ code change), so a single-sample, single-baseline gate would flake:
 Gated figures: per-backend ``wall_us`` in ``tcp_loopback``/``shm_loopback``
 (matched by backend name — adding or removing a backend never trips the
 gate), the ``session_farm`` throughput row (``sessions_per_sec`` must not
-drop, ``p99_us`` must not blow up), per-mesh-shape ``wall_us`` in
-``fabric_sweep`` (the N-domain fabric runs), per-backend ``blob_bytes``
-in ``checkpoint_cost`` (deterministic for a fixed cycle count — the gate
+drop, ``p99_us`` must not blow up), per-backend ``blob_bytes`` in
+``checkpoint_cost`` (deterministic for a fixed cycle count — the gate
 catches silent checkpoint-format bloat), per-cell ``traffic_words`` in
 ``accuracy_sweep`` (deterministic per suite/workload/backend cell — a
 predictor regression shows up as extra rollback traffic with no runner
@@ -72,9 +71,6 @@ HIGHER_IS_BETTER = "higher"
 # session_farm gates scheduling-throughput end to end: sessions/sec must not
 # drop by more than 40%, and tail latency must not grow by more than 60%
 # (p99 under the one-shot submission pattern tracks total batch wall).
-# fabric_sweep gates the N-domain fabric's wall per mesh shape; thread count
-# scales with N, so placement noise grows with the row's domain count and
-# the threshold sits at the farm tier rather than the loopback tier.
 GATED = {
     "BENCH_tcp_loopback.json": [("wall_us", 0.10, LOWER_IS_BETTER)],
     "BENCH_shm_loopback.json": [("wall_us", 0.20, LOWER_IS_BETTER)],
@@ -82,7 +78,6 @@ GATED = {
         ("sessions_per_sec", 0.40, HIGHER_IS_BETTER),
         ("p99_us", 0.60, LOWER_IS_BETTER),
     ],
-    "BENCH_fabric_sweep.json": [("wall_us", 0.50, LOWER_IS_BETTER)],
     # blob_bytes is bit-deterministic for a fixed cycle count, so the gate is
     # really "the checkpoint format didn't silently bloat"; wall costs stay
     # context-only (microsecond-scale figures are all runner noise).

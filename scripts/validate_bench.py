@@ -46,7 +46,6 @@ EXPECTED = {
     "BENCH_tcp_loopback.json": ["bench", "cycles", "reps", "rows"],
     "BENCH_shm_loopback.json": ["bench", "cycles", "reps", "rows"],
     "BENCH_session_farm.json": ["bench", "sessions", "cycles_per_session", "trace_identical", "rows"],
-    "BENCH_fabric_sweep.json": ["bench", "cycles", "trace_identical", "rows"],
     "BENCH_checkpoint_cost.json": ["bench", "cycles", "reps", "trace_identical", "rows"],
     "BENCH_accuracy_sweep.json": ["bench", "cycles", "suites", "workloads", "backends", "rows"],
     "BENCH_chaos_recovery.json": ["bench", "sessions_per_cell", "cycles", "trace_identical", "rows"],

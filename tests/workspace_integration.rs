@@ -1,7 +1,8 @@
 //! Workspace-level integration: the umbrella crate's public API drives every
 //! subsystem together — blueprints → co-emulation → reports → analytic model.
 
-use predpkt::core::{FabricSession, ReliableInner, ShmOptions, TcpOptions};
+use predpkt::core::{ReliableInner, ShmOptions, TcpOptions};
+use predpkt::farm::{FarmConfig, SessionFarm};
 use predpkt::prelude::*;
 use predpkt::sim::Trace;
 use predpkt::workloads::{
@@ -41,7 +42,7 @@ fn assert_commits_golden(blueprint: &SocBlueprint, cycles: u64, mut merged: Trac
 }
 
 #[test]
-fn every_session_backend_and_a_fabric_commit_golden_traces() {
+fn every_session_backend_and_farm_hosted_sessions_commit_golden_traces() {
     let blueprint = figure2_soc(7);
     let placement = blueprint.placement();
     let opts = ThreadedOpts {
@@ -91,20 +92,43 @@ fn every_session_backend_and_a_fabric_commit_golden_traces() {
         assert_commits_golden(&blueprint, session.committed_cycles(), merged, name);
     }
 
-    let mut fabric = FabricSession::from_blueprint(&blueprint, 3)
-        .policy(ModePolicy::Auto)
-        .link(TransportSelect::Threaded(opts))
-        .build()
-        .expect("fabric builds");
-    assert_eq!(fabric.backend(), "fabric+threaded");
-    fabric
-        .run_until_committed(200)
-        .expect("fabric run completes");
-    for edge in 0..fabric.edges().len() {
-        let merged = fabric.edge_trace(edge, |s, a| placement.merge_records(s, a));
-        let what = format!("fabric edge {edge}");
-        assert_commits_golden(&blueprint, fabric.committed_cycles(), merged, &what);
+    // The same property through the session farm: sliced sessions on the
+    // endpoint backends, multiplexed over two workers, still commit golden.
+    let farm =
+        SessionFarm::new(FarmConfig::new().workers(2).keep_sessions(true)).expect("farm builds");
+    let hosted = [
+        ("threaded", TransportSelect::Threaded(opts)),
+        ("tcp", TransportSelect::Tcp(tcp)),
+        ("shm", TransportSelect::Shm(shm)),
+        (
+            "reliable+shm",
+            TransportSelect::reliable(ReliableInner::Shm(shm)),
+        ),
+    ];
+    for (_, backend) in hosted {
+        farm.submit(move || {
+            Ok(EmuSession::from_blueprint(&figure2_soc(7))
+                .policy(ModePolicy::Auto)
+                .transport(backend)
+                .build()?
+                .into_sliced(200))
+        })
+        .expect("farm admits the session");
     }
+    let report = farm.join();
+    let mut ran = Vec::new();
+    for result in &report.results {
+        assert!(result.outcome.is_completed(), "{}", result.outcome);
+        let session = result.session.as_ref().expect("keep_sessions retains it");
+        let merged = session.merged_trace(|s, a| placement.merge_records(s, a));
+        let what = format!("farm-hosted {}", session.backend());
+        assert_commits_golden(&blueprint, session.committed_cycles(), merged, &what);
+        ran.push(session.backend());
+    }
+    ran.sort_unstable();
+    let mut expected = hosted.map(|(name, _)| name);
+    expected.sort_unstable();
+    assert_eq!(ran, expected, "the farm hosted every backend once");
 }
 
 #[test]
