@@ -540,12 +540,18 @@ impl Snapshot for MasterEngine {
     }
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        // The op and result vectors are restored into the allocations the
+        // current op/result already own, when there is one.
+        let (mut addrs, mut wdata) = self
+            .op
+            .take()
+            .map_or_else(Default::default, |op| (op.addrs, op.wdata));
         self.op = if r.bool()? {
             let write = r.bool()?;
-            let size = Hsize::decode(r.u32()?).ok_or(SnapshotError::Corrupt { at: 0 })?;
-            let burst = Hburst::decode(r.u32()?).ok_or(SnapshotError::Corrupt { at: 0 })?;
-            let addrs = r.slice_u32()?;
-            let wdata = r.slice_u32()?;
+            let size = r.decode_u32(Hsize::decode)?;
+            let burst = r.decode_u32(Hburst::decode)?;
+            r.slice_u32_into(&mut addrs)?;
+            r.slice_u32_into(&mut wdata)?;
             let lock = r.bool()?;
             let prot = r.u32()? as u8;
             Some(BusOp {
@@ -560,17 +566,18 @@ impl Snapshot for MasterEngine {
         } else {
             None
         };
-        self.state = MState::decode(r.u32()?).ok_or(SnapshotError::Corrupt { at: 0 })?;
+        self.state = r.decode_u32(MState::decode)?;
         self.addr_beat = r.u32()?;
         self.dp_beat = if r.bool()? { Some(r.u32()?) } else { None };
         self.done_beats = r.u32()?;
-        self.rdata = r.slice_u32()?;
+        r.slice_u32_into(&mut self.rdata)?;
         self.restart_singles = r.bool()?;
         self.error = r.bool()?;
+        let mut rdata = self.result.take().map(|res| res.rdata).unwrap_or_default();
         self.result = if r.bool()? {
             let write = r.bool()?;
             let addr = r.u32()?;
-            let rdata = r.slice_u32()?;
+            r.slice_u32_into(&mut rdata)?;
             let error = r.bool()?;
             Some(OpResult {
                 write,
@@ -881,17 +888,16 @@ impl Snapshot for SlaveEngine {
     }
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let code = r.u32()?;
-        self.state = match code & 0b111 {
-            0 => SState::Idle,
-            1 => SState::Pending,
-            2 => SState::Wait { left: code >> 3 },
-            3 => SState::RespondOkay,
-            4 => SState::ErrFirst,
-            5 => SState::ErrSecond,
-            6 => SState::Stalled,
-            _ => return Err(SnapshotError::Corrupt { at: 0 }),
-        };
+        self.state = r.decode_u32(|code| match code & 0b111 {
+            0 => Some(SState::Idle),
+            1 => Some(SState::Pending),
+            2 => Some(SState::Wait { left: code >> 3 }),
+            3 => Some(SState::RespondOkay),
+            4 => Some(SState::ErrFirst),
+            5 => Some(SState::ErrSecond),
+            6 => Some(SState::Stalled),
+            _ => None,
+        })?;
         self.phase = if r.bool()? {
             let master = crate::signals::MasterId(r.usize()?);
             let slave = if r.bool()? {
@@ -899,11 +905,11 @@ impl Snapshot for SlaveEngine {
             } else {
                 None
             };
-            let trans = Htrans::decode(r.u32()?).ok_or(SnapshotError::Corrupt { at: 0 })?;
+            let trans = r.decode_u32(Htrans::decode)?;
             let addr = r.u32()?;
             let write = r.bool()?;
-            let size = Hsize::decode(r.u32()?).ok_or(SnapshotError::Corrupt { at: 0 })?;
-            let burst = Hburst::decode(r.u32()?).ok_or(SnapshotError::Corrupt { at: 0 })?;
+            let size = r.decode_u32(Hsize::decode)?;
+            let burst = r.decode_u32(Hburst::decode)?;
             Some(AddrPhase {
                 master,
                 slave,
@@ -916,7 +922,7 @@ impl Snapshot for SlaveEngine {
         } else {
             None
         };
-        self.resp = Hresp::decode(r.u32()?).ok_or(SnapshotError::Corrupt { at: 0 })?;
+        self.resp = r.decode_u32(Hresp::decode)?;
         self.rdata = r.u32()?;
         Ok(())
     }
@@ -926,7 +932,7 @@ impl Snapshot for SlaveEngine {
 mod tests {
     use super::*;
     use crate::signals::{MasterId, SlaveId};
-    use predpkt_sim::{restore_from_vec, save_to_vec};
+    use predpkt_sim::{restore_from_vec, save_to_vec, StateVec};
 
     fn phase(write: bool, addr: u32) -> AddrPhase {
         AddrPhase {
@@ -1387,5 +1393,41 @@ mod tests {
         let mut copy = SlaveEngine::new();
         restore_from_vec(&mut copy, &state).unwrap();
         assert_eq!(copy, e);
+    }
+
+    #[test]
+    fn corrupt_htrans_is_reported_at_its_word_in_its_section() {
+        let mut e = SlaveEngine::new();
+        e.tick(&SlaveView {
+            addr_phase: Some(phase(true, 0xc)),
+            ..SlaveView::quiet()
+        });
+        e.plan(PlannedResponse::okay(3, 0x77));
+        // Layout: state code, phase flag, master, slave flag, slave, HTRANS.
+        let mut words = save_to_vec(&e).words().to_vec();
+        let offset = 5;
+        assert_eq!(words[offset], u64::from(Htrans::Nonseq.encode()));
+        // 0b100 is no HTRANS code.
+        words[offset] = 0b100;
+        // Labeled like a checkpoint: the engine's section follows another.
+        let mut state = StateVec::new();
+        let mut w = StateWriter::new(&mut state);
+        w.section("header").word(7).word(8).section("slave");
+        for &word in &words {
+            w.word(word);
+        }
+        let mut r = StateReader::new(&state);
+        r.word().unwrap();
+        r.word().unwrap();
+        let err = SlaveEngine::new().restore(&mut r).unwrap_err();
+        assert_eq!(err.section(), Some("slave"));
+        assert_eq!(
+            err,
+            SnapshotError::InSection {
+                section: "slave",
+                offset,
+                source: Box::new(SnapshotError::Corrupt { at: 2 + offset }),
+            }
+        );
     }
 }

@@ -130,17 +130,27 @@ impl Snapshot for TrafficGenMaster {
         self.next_op = r.usize()?;
         self.idle_left = r.u32()?;
         self.engine.restore(r)?;
+        // Existing entries are overwritten in place (their `rdata` keeps its
+        // allocation); new ones are appended only as their words are read,
+        // so a corrupt count cannot reserve memory ahead of the data.
         let n = r.usize()?;
-        self.results = (0..n)
-            .map(|_| {
-                Ok(OpResult {
-                    write: r.bool()?,
-                    addr: r.u32()?,
-                    rdata: r.slice_u32()?,
-                    error: r.bool()?,
-                })
-            })
-            .collect::<Result<_, SnapshotError>>()?;
+        self.results.truncate(n);
+        for i in 0..n {
+            let (write, addr) = (r.bool()?, r.u32()?);
+            if i == self.results.len() {
+                self.results.push(OpResult {
+                    write,
+                    addr,
+                    rdata: Vec::new(),
+                    error: false,
+                });
+            }
+            let res = &mut self.results[i];
+            res.write = write;
+            res.addr = addr;
+            r.slice_u32_into(&mut res.rdata)?;
+            res.error = r.bool()?;
+        }
         Ok(())
     }
 }

@@ -448,8 +448,9 @@ impl Snapshot for MasterSignals {
     }
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        let at = r.position();
         let words = [r.u32()?, r.u32()?, r.u32()?];
-        *self = MasterSignals::unpack(&words).ok_or(SnapshotError::Corrupt { at: 0 })?;
+        *self = MasterSignals::unpack(&words).ok_or_else(|| r.corrupt_at(at))?;
         Ok(())
     }
 }
@@ -461,8 +462,9 @@ impl Snapshot for SlaveSignals {
     }
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
+        let at = r.position();
         let words = [r.u32()?, r.u32()?];
-        *self = SlaveSignals::unpack(&words).ok_or(SnapshotError::Corrupt { at: 0 })?;
+        *self = SlaveSignals::unpack(&words).ok_or_else(|| r.corrupt_at(at))?;
         Ok(())
     }
 }

@@ -168,7 +168,7 @@ impl Snapshot for SplitSlave {
     }
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.words = r.slice_u32()?;
+        r.slice_u32_into(&mut self.words)?;
         let n = r.usize()?;
         self.jobs = (0..n)
             .map(|_| {

@@ -443,16 +443,24 @@ impl<M: DomainModel, T: Transport> CoEmulator<M, T> {
         for _ in 0..max_steps {
             let halted = self.halted(cycles);
             if halted == [true, true] {
-                return Ok(SliceStatus::Done);
+                return Ok(self.done());
             }
             self.round(&costs, halted)?;
         }
         // Re-check the halt condition before yielding: the budget may have
         // run out on exactly the round that finished the run.
         if self.halted(cycles) == [true, true] {
-            return Ok(SliceStatus::Done);
+            return Ok(self.done());
         }
         Ok(SliceStatus::Working)
+    }
+
+    /// Finishes a run at the halt: both wrappers drop their rollback
+    /// buffers, so a finished session holds no snapshot-sized allocation.
+    fn done(&mut self) -> SliceStatus {
+        self.sim.release_rollback_buffer();
+        self.acc.release_rollback_buffer();
+        SliceStatus::Done
     }
 
     /// Which domains stand halted at a transition boundary with `cycles`

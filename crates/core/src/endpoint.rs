@@ -72,6 +72,13 @@ impl<M: DomainModel> Port<M> {
         self.wrapper.at_transition_boundary() && self.wrapper.cycle() >= target
     }
 
+    /// Runs once the port halts: pushes the batching outbox out and frees
+    /// the wrapper's rollback buffer (no rollback point is live at a halt).
+    fn finish(&mut self) {
+        self.ch.flush();
+        self.wrapper.release_rollback_buffer();
+    }
+
     /// Steps this port's protocol engine once.
     fn step(
         &mut self,
@@ -245,7 +252,7 @@ impl<M: DomainModel + Send> Engine<M> for EndpointCore<M> {
                 if all_halted(ports, target) {
                     // The flushes are no-ops where a linger drain already
                     // pushed the final outbox out.
-                    flush_all(ports);
+                    finish_all(ports);
                     return Ok(SliceStatus::Done);
                 }
                 let mut worked = false;
@@ -288,7 +295,7 @@ impl<M: DomainModel + Send> Engine<M> for EndpointCore<M> {
             // The budget may have run out on exactly the round that
             // finished.
             if all_halted(ports, target) {
-                flush_all(ports);
+                finish_all(ports);
                 return Ok(SliceStatus::Done);
             }
             Ok(SliceStatus::Working)
@@ -357,9 +364,9 @@ fn all_halted<M: DomainModel>(ports: &[Port<M>; 2], target: u64) -> bool {
     ports.iter().all(|p| p.halted(target))
 }
 
-fn flush_all<M: DomainModel>(ports: &mut [Port<M>; 2]) {
+fn finish_all<M: DomainModel>(ports: &mut [Port<M>; 2]) {
     for p in ports {
-        p.ch.flush();
+        p.finish();
     }
 }
 
@@ -392,7 +399,7 @@ fn run_side<M: DomainModel>(p: &mut Port<M>, run: &RunShared<'_>) -> Result<(), 
                     // The final message may still sit in the batching
                     // outbox: push it out before lingering, or the peer
                     // would starve.
-                    p.ch.flush();
+                    p.finish();
                     run.done.fetch_add(1, Ordering::AcqRel);
                 }
                 if run.done.load(Ordering::Acquire) >= 2 {

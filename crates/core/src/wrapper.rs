@@ -24,7 +24,7 @@ use crate::protocol::Message;
 use predpkt_channel::{CostedChannel, Side, Transport};
 use predpkt_predict::{Lob, LobEntry};
 use predpkt_sim::{
-    restore_from_vec, save_to_vec, CostCategory, SimError, Snapshot, SnapshotError, StateReader,
+    restore_from_vec, save_into, CostCategory, SimError, Snapshot, SnapshotError, StateReader,
     StateVec, StateWriter, TimeLedger, TraceMark, VirtualTime,
 };
 use std::fmt;
@@ -275,8 +275,16 @@ pub struct ChannelWrapper<M: DomainModel> {
     policy: ModePolicy,
     phase: Phase,
     lob: Lob,
-    /// Snapshot of the leader state at the transition start + trace mark.
-    snapshot: Option<(StateVec, TraceMark)>,
+    /// Rollback buffer: the leader's model state at the transition start.
+    /// One buffer serves every transition — each snapshot is saved over the
+    /// last one into the capacity already there, and a rollback restores
+    /// straight from it. Its words are live only while `snapshot_mark` is
+    /// set; [`release_rollback_buffer`](Self::release_rollback_buffer)
+    /// frees it once the wrapper halts.
+    snapshot: StateVec,
+    /// Trace mark at the transition start: `Some` exactly while `snapshot`
+    /// holds the rollback point of the current transition.
+    snapshot_mark: Option<TraceMark>,
     /// Entries in flight after a flush (for roll-forth replay).
     inflight: Vec<LobEntry>,
     /// Actual remote values used by the head cycle of the current transition
@@ -313,7 +321,8 @@ impl<M: DomainModel> ChannelWrapper<M> {
             policy,
             phase: Phase::HandshakeSend,
             lob: Lob::new(lob_depth),
-            snapshot: None,
+            snapshot: StateVec::new(),
+            snapshot_mark: None,
             inflight: Vec::new(),
             head_actuals: None,
             pending_actuals: None,
@@ -440,7 +449,7 @@ impl<M: DomainModel> ChannelWrapper<M> {
         self.stats.restore(r)?;
         self.phase = Phase::Elect;
         let _ = self.lob.drain();
-        self.snapshot = None;
+        self.snapshot_mark = None;
         self.inflight.clear();
         self.head_actuals = None;
         Ok(())
@@ -476,10 +485,22 @@ impl<M: DomainModel> ChannelWrapper<M> {
     }
 
     fn take_snapshot(&mut self, ledger: &mut TimeLedger, costs: &DomainCosts) {
-        let state = save_to_vec(&self.model);
-        let vars = self.rollback_vars(costs, &state);
+        save_into(&self.model, &mut self.snapshot);
+        let vars = self.rollback_vars(costs, &self.snapshot);
         ledger.charge(CostCategory::StateStore, costs.store_per_var * vars);
-        self.snapshot = Some((state, self.model.trace_mark()));
+        self.snapshot_mark = Some(self.model.trace_mark());
+    }
+
+    /// Frees the rollback buffer. Called when the wrapper halts at a
+    /// boundary, where no rollback point is live: a finished session kept
+    /// around (a farm's session table) then holds no snapshot-sized buffer,
+    /// and a resumed run simply grows it again on its first transition.
+    pub(crate) fn release_rollback_buffer(&mut self) {
+        debug_assert!(
+            self.snapshot_mark.is_none(),
+            "released a live rollback point"
+        );
+        self.snapshot = StateVec::new();
     }
 
     /// Runs one scheduling quantum. Returns [`Progress::Blocked`] when waiting
@@ -660,7 +681,7 @@ impl<M: DomainModel> ChannelWrapper<M> {
                             self.cur_depth = (self.cur_depth * 2).min(self.depth_cap);
                         }
                         self.pending_actuals = Some((self.model.cycle(), next));
-                        self.snapshot = None;
+                        self.snapshot_mark = None;
                         self.inflight.clear();
                         self.head_actuals = None;
                         self.phase = Phase::Elect;
@@ -809,13 +830,13 @@ impl<M: DomainModel> ChannelWrapper<M> {
         costs: &DomainCosts,
         obs: &mut dyn EmuObserver,
     ) -> Result<(), SimError> {
-        let (state, mark) = self
-            .snapshot
+        let mark = self
+            .snapshot_mark
             .take()
             .ok_or_else(|| SimError::Config("rollback without a snapshot".into()))?;
-        let vars = self.rollback_vars(costs, &state);
+        let vars = self.rollback_vars(costs, &self.snapshot);
         ledger.charge(CostCategory::StateRestore, costs.restore_per_var * vars);
-        if let Err(err) = restore_from_vec(&mut self.model, &state) {
+        if let Err(err) = restore_from_vec(&mut self.model, &self.snapshot) {
             // The model now holds an undefined mixture of pre- and
             // post-rollback state: quarantine it so no further step can run.
             self.poisoned = Some(err.clone());

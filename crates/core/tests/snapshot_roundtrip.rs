@@ -8,6 +8,12 @@
 //! [`SnapshotError`], after which the good vector still restores cleanly
 //! (a failed restore never bricks the component).
 //!
+//! Restores overwrite owned vectors in place, so the law is also checked on
+//! a *dirty* target: the target's own prior state and the seeded state are
+//! restored over each other in both directions, each landing exactly. Where
+//! a test passes a target that was itself driven (not fresh), the two states
+//! have vectors of different lengths.
+//!
 //! The aggregate impls pull their members in recursively: the
 //! [`AhbDomainModel`] case covers the bus, fabric, arbiter, master/slave
 //! engines, signal codecs, and the paper predictor suite in one vector; the
@@ -35,10 +41,12 @@ use predpkt_sim::{
     VirtualTime,
 };
 
-/// The law: seeded → save → restore-into-fresh → save is a fixed point, a
-/// truncated vector is rejected typed, and the rejection is recoverable.
+/// The law: seeded → save → restore-into-target → save is a fixed point,
+/// also with the target dirty (holding the other state), a truncated vector
+/// is rejected typed, and the rejection is recoverable.
 fn assert_roundtrip<T: Snapshot + ?Sized>(name: &str, seeded: &T, fresh: &mut T) {
     let saved = save_to_vec(seeded);
+    let prior = save_to_vec(fresh);
     restore_from_vec(fresh, &saved)
         .unwrap_or_else(|e| panic!("{name}: restore into a fresh instance failed: {e}"));
     let resaved = save_to_vec(fresh);
@@ -46,6 +54,18 @@ fn assert_roundtrip<T: Snapshot + ?Sized>(name: &str, seeded: &T, fresh: &mut T)
         saved, resaved,
         "{name}: save → restore → save is not a fixed point"
     );
+
+    // Dirty-target leg: the target's prior state restored over the seeded
+    // one, then the seeded state over that again.
+    for (state, over) in [(&prior, "seeded"), (&saved, "prior")] {
+        restore_from_vec(fresh, state)
+            .unwrap_or_else(|e| panic!("{name}: restore over the {over} state failed: {e}"));
+        assert_eq!(
+            &save_to_vec(fresh),
+            state,
+            "{name}: restore over the {over} state is not exact"
+        );
+    }
 
     if saved.is_empty() {
         return; // Nothing to truncate (the endpoint no-op impls).
@@ -407,6 +427,23 @@ fn domain_models_roundtrip() {
     let (mut fresh_sim, mut fresh_acc) = blueprint.build_pair().expect("pair builds");
     assert_roundtrip("AhbDomainModel (simulator)", &sim, &mut fresh_sim);
     assert_roundtrip("AhbDomainModel (accelerator)", &acc, &mut fresh_acc);
+
+    // Dirty targets driven to a different point: engines mid-op against
+    // idle ones, so owned vectors change length in both directions.
+    let (mut other_sim, mut other_acc) = blueprint.build_pair().expect("pair builds");
+    for _ in 0..5 {
+        let sim_out = other_sim.local_outputs();
+        let acc_out = other_acc.local_outputs();
+        other_sim.tick(&acc_out, TickKind::Actual);
+        other_acc.tick(&sim_out, TickKind::Actual);
+    }
+    assert_ne!(
+        save_to_vec(&other_acc).len(),
+        save_to_vec(&acc).len(),
+        "the dirty target must hold vectors of other lengths"
+    );
+    assert_roundtrip("AhbDomainModel (simulator, dirty)", &sim, &mut other_sim);
+    assert_roundtrip("AhbDomainModel (accelerator, dirty)", &acc, &mut other_acc);
 
     // The model's own Snapshot is the *rollback* cut, which deliberately
     // excludes the committed trace (rollback must never rewrite committed

@@ -139,15 +139,10 @@ impl Scoreboard {
     }
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let hits = r.slice_u32()?;
-        self.hits = hits
-            .try_into()
-            .map_err(|_| SnapshotError::Corrupt { at: r.position() })?;
+        let at = r.position();
+        self.hits = r.slice_u32()?.try_into().map_err(|_| r.corrupt_at(at))?;
         self.samples = r.u32()?;
-        self.active = r.u32()?;
-        if self.active as usize >= CANDIDATES {
-            return Err(SnapshotError::Corrupt { at: r.position() });
-        }
+        self.active = r.decode_u32(|v| (v < CANDIDATES as u32).then_some(v))?;
         self.cooldown = r.u32()?;
         self.pending_words = r.u32()?;
         self.switches = r.word()?;

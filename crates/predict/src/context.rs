@@ -141,14 +141,14 @@ impl Snapshot for ContextTable {
     }
 
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.tags = r.slice_u32()?;
-        self.values = r.slice_u32()?;
-        self.conf = r.slice_u32()?;
+        r.slice_u32_into(&mut self.tags)?;
+        r.slice_u32_into(&mut self.values)?;
+        r.slice_u32_into(&mut self.conf)?;
         if self.tags.len() != TABLE_SLOTS
             || self.values.len() != TABLE_SLOTS
             || self.conf.len() != TABLE_SLOTS
         {
-            return Err(SnapshotError::Corrupt { at: r.position() });
+            return Err(r.corrupt_at(r.position()));
         }
         Ok(())
     }
@@ -364,10 +364,8 @@ impl Snapshot for ContextMasterPredictor {
         self.follower.restore(r)?;
         self.lock.restore(r)?;
         self.wdata.restore(r)?;
-        let hist = r.slice_u32()?;
-        self.hist = hist
-            .try_into()
-            .map_err(|_| SnapshotError::Corrupt { at: r.position() })?;
+        let at = r.position();
+        self.hist = r.slice_u32()?.try_into().map_err(|_| r.corrupt_at(at))?;
         self.last_addr = r.u32()?;
         self.proto.restore(r)?;
         self.phase = r.u32()?;
@@ -514,10 +512,8 @@ impl Snapshot for ContextSlavePredictor {
     fn restore(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         self.table.restore(r)?;
         self.rdata.restore(r)?;
-        let whist = r.slice_u32()?;
-        self.whist = whist
-            .try_into()
-            .map_err(|_| SnapshotError::Corrupt { at: r.position() })?;
+        let at = r.position();
+        self.whist = r.slice_u32()?.try_into().map_err(|_| r.corrupt_at(at))?;
         self.observing = r.u32()?;
         self.countdown = r.u32()?;
         self.irq_level = r.bool()?;

@@ -9,6 +9,21 @@
 //!
 //! The word count of a snapshot is the *number of rollback variables*, which
 //! drives the store/restore cost model (the paper assumes 1,000 of them).
+//!
+//! # Buffer reuse
+//!
+//! The leader stores and restores its state on every speculative
+//! transition, so both directions can run without touching the heap once
+//! the buffers are warm:
+//!
+//! - [`save_into`] clears its destination (words and section labels) and
+//!   saves into the capacity already there; the result is word-for-word
+//!   what [`save_to_vec`] returns.
+//! - [`StateReader::slice_u32_into`] and [`StateReader::slice_into`]
+//!   overwrite an owned vector in place. They validate the whole slice
+//!   before copying, so on error the destination is left untouched and the
+//!   error is the one the word-by-word reader would raise (same index, same
+//!   section label).
 
 use std::error::Error;
 use std::fmt;
@@ -44,6 +59,13 @@ impl StateVec {
     /// `true` if no words are stored.
     pub fn is_empty(&self) -> bool {
         self.words.is_empty()
+    }
+
+    /// Removes every word and section label, keeping the allocated capacity
+    /// for the next save.
+    pub fn clear(&mut self) {
+        self.words.clear();
+        self.sections.clear();
     }
 
     /// Borrows the raw words.
@@ -122,18 +144,14 @@ impl<'a> StateWriter<'a> {
     /// Appends a length-prefixed slice of words.
     pub fn slice(&mut self, v: &[u64]) -> &mut Self {
         self.usize(v.len());
-        for &w in v {
-            self.word(w);
-        }
+        self.out.words.extend_from_slice(v);
         self
     }
 
-    /// Appends a length-prefixed slice of `u32` words.
+    /// Appends a length-prefixed slice of `u32` words (each zero-extended).
     pub fn slice_u32(&mut self, v: &[u32]) -> &mut Self {
         self.usize(v.len());
-        for &w in v {
-            self.u32(w);
-        }
+        self.out.words.extend(v.iter().map(|&w| u64::from(w)));
         self
     }
 
@@ -235,24 +253,101 @@ impl<'a> StateReader<'a> {
         }
     }
 
-    /// Reads a length-prefixed slice of words.
+    /// Reads a `u32` and decodes it with `decode` — for enum codes and
+    /// other domain encodings. A word `decode` rejects is reported as
+    /// [`SnapshotError::Corrupt`] at its own index, section-labeled.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`StateReader::u32`], or [`SnapshotError::Corrupt`] if
+    /// `decode` returns `None`.
+    pub fn decode_u32<T>(
+        &mut self,
+        decode: impl FnOnce(u32) -> Option<T>,
+    ) -> Result<T, SnapshotError> {
+        let at = self.pos;
+        let v = self.u32()?;
+        decode(v).ok_or_else(|| self.corrupt_at(at))
+    }
+
+    /// Reads a length prefix and borrows the words it covers, every one
+    /// checked to have no bit of `forbidden` set. Fails exactly where a
+    /// word-by-word read would: at the first offending word (the cursor then
+    /// stands just past it), else at the end of a vector too short for the
+    /// prefix (the cursor then stands at the end).
+    fn prefixed(&mut self, forbidden: u64) -> Result<&'a [u64], SnapshotError> {
+        let n = self.usize()?;
+        let start = self.pos;
+        let rest = &self.words[start..];
+        let body = &rest[..n.min(rest.len())];
+        // One branch-free pass for the common, valid case; the offending
+        // word is searched for only on failure.
+        if body.iter().fold(0, |acc, &w| acc | w) & forbidden != 0 {
+            let i = start
+                + body
+                    .iter()
+                    .position(|&w| w & forbidden != 0)
+                    .expect("the fold saw a forbidden bit");
+            self.pos = i + 1;
+            return Err(self.corrupt_at(i));
+        }
+        if body.len() < n {
+            self.pos = self.words.len();
+            return Err(self.label(self.pos, SnapshotError::Exhausted { at: self.pos }));
+        }
+        self.pos = start + n;
+        Ok(body)
+    }
+
+    /// Reads a length-prefixed slice of words into `dst`, reusing its
+    /// capacity. On error `dst` is left untouched.
     ///
     /// # Errors
     ///
     /// Returns [`SnapshotError::Exhausted`] on underrun.
+    pub fn slice_into(&mut self, dst: &mut Vec<u64>) -> Result<(), SnapshotError> {
+        let body = self.prefixed(0)?;
+        dst.clear();
+        dst.extend_from_slice(body);
+        Ok(())
+    }
+
+    /// Reads a length-prefixed slice of words.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`StateReader::slice_into`].
     pub fn slice(&mut self) -> Result<Vec<u64>, SnapshotError> {
-        let n = self.usize()?;
-        (0..n).map(|_| self.word()).collect()
+        let mut v = Vec::new();
+        self.slice_into(&mut v)?;
+        Ok(v)
+    }
+
+    /// Reads a length-prefixed slice of `u32` words into `dst`, reusing its
+    /// capacity. Every word is validated before `dst` is touched, so on
+    /// error `dst` is left untouched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapshotError::Corrupt`] at the first word that does not
+    /// fit a `u32`, or [`SnapshotError::Exhausted`] on underrun.
+    pub fn slice_u32_into(&mut self, dst: &mut Vec<u32>) -> Result<(), SnapshotError> {
+        let body = self.prefixed(!u64::from(u32::MAX))?;
+        dst.clear();
+        // Lossless: `prefixed` rejected every word with a high bit set.
+        dst.extend(body.iter().map(|&w| w as u32));
+        Ok(())
     }
 
     /// Reads a length-prefixed slice of `u32` words.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`StateReader::u32`].
+    /// Same conditions as [`StateReader::slice_u32_into`].
     pub fn slice_u32(&mut self) -> Result<Vec<u32>, SnapshotError> {
-        let n = self.usize()?;
-        (0..n).map(|_| self.u32()).collect()
+        let mut v = Vec::new();
+        self.slice_u32_into(&mut v)?;
+        Ok(v)
     }
 
     /// The absolute index of the next word to be read.
@@ -379,9 +474,17 @@ pub trait Snapshot {
 /// Convenience: saves any [`Snapshot`] component into a fresh [`StateVec`].
 pub fn save_to_vec<S: Snapshot + ?Sized>(component: &S) -> StateVec {
     let mut state = StateVec::new();
-    let mut writer = StateWriter::new(&mut state);
-    component.save(&mut writer);
+    save_into(component, &mut state);
     state
+}
+
+/// Saves any [`Snapshot`] component into `state`, replacing its contents
+/// but keeping its capacity: once `state` has held a snapshot of the same
+/// size, saving again allocates nothing. The words equal
+/// [`save_to_vec`]'s.
+pub fn save_into<S: Snapshot + ?Sized>(component: &S, state: &mut StateVec) {
+    state.clear();
+    component.save(&mut StateWriter::new(state));
 }
 
 /// Convenience: restores any [`Snapshot`] component from a [`StateVec`],
@@ -554,6 +657,146 @@ mod tests {
         r.u32().unwrap();
         let err = r.word().unwrap_err();
         assert_eq!(err.section(), Some("tail"));
+    }
+
+    /// The word-by-word reader `slice_u32_into` must agree with.
+    fn per_word_slice_u32(r: &mut StateReader<'_>) -> Result<Vec<u32>, SnapshotError> {
+        let n = r.usize()?;
+        (0..n).map(|_| r.u32()).collect()
+    }
+
+    /// A labeled vector: a `head` word, then `body` under section "body".
+    fn labeled(body: &[u64]) -> StateVec {
+        let mut state = StateVec::new();
+        let mut w = StateWriter::new(&mut state);
+        w.section("head").word(0).section("body");
+        for &x in body {
+            w.word(x);
+        }
+        state
+    }
+
+    /// Runs the per-word reader and `slice_u32_into` (into a dirty
+    /// destination) over the same vector from word 1; they must return the
+    /// same result and leave the cursor at the same word.
+    fn assert_slice_u32_agrees(state: &StateVec) {
+        let mut old = StateReader::new(state);
+        old.word().unwrap();
+        let expected = per_word_slice_u32(&mut old);
+
+        let mut new = StateReader::new(state);
+        new.word().unwrap();
+        let dirty = vec![0xdead_beef; 9];
+        let mut dst = dirty.clone();
+        let got = new.slice_u32_into(&mut dst);
+        assert_eq!(new.position(), old.position(), "{state:?}");
+        match expected {
+            Ok(words) => {
+                assert_eq!(got, Ok(()));
+                assert_eq!(dst, words);
+            }
+            Err(err) => {
+                assert_eq!(got, Err(err));
+                assert_eq!(dst, dirty, "a failed read must leave dst untouched");
+            }
+        }
+    }
+
+    #[test]
+    fn slice_u32_into_matches_the_per_word_reader() {
+        // Good input, shorter and longer than the dirty destination.
+        assert_slice_u32_agrees(&labeled(&[3, 7, 8, 9]));
+        let long: Vec<u64> = std::iter::once(12)
+            .chain(0..11)
+            .chain([u32::MAX.into()])
+            .collect();
+        assert_slice_u32_agrees(&labeled(&long));
+        assert_slice_u32_agrees(&labeled(&[0]));
+        // A corrupt word: Corrupt at its absolute index, labeled "body".
+        let corrupt = labeled(&[4, 1, 2, 1 << 32, 3]);
+        assert_slice_u32_agrees(&corrupt);
+        let mut r = StateReader::new(&corrupt);
+        r.word().unwrap();
+        let err = r.slice_u32_into(&mut Vec::new()).unwrap_err();
+        assert_eq!(err.section(), Some("body"));
+        assert!(err.to_string().contains("corrupt at word 4"), "{err}");
+        // A corrupt word in a short vector is found before the underrun.
+        assert_slice_u32_agrees(&labeled(&[9, 1, u64::MAX]));
+        // A short vector: Exhausted at the vector's length.
+        let short = labeled(&[5, 1, 2]);
+        assert_slice_u32_agrees(&short);
+        let mut r = StateReader::new(&short);
+        r.word().unwrap();
+        let err = r.slice_u32_into(&mut Vec::new()).unwrap_err();
+        assert!(err.to_string().contains("exhausted at word 4"), "{err}");
+        // A corrupt length prefix.
+        assert_slice_u32_agrees(&labeled(&[u64::MAX]));
+        assert_slice_u32_agrees(&labeled(&[]));
+    }
+
+    #[test]
+    fn slice_into_reuses_and_validates_like_slice_u32() {
+        let state = labeled(&[3, u64::MAX, 0, 1 << 40]);
+        let mut r = StateReader::new(&state);
+        r.word().unwrap();
+        let mut dst = vec![7; 16];
+        let cap = dst.capacity();
+        r.slice_into(&mut dst).unwrap();
+        assert_eq!(dst, [u64::MAX, 0, 1 << 40]);
+        assert_eq!(dst.capacity(), cap, "the existing allocation is reused");
+        assert_eq!(r.position(), 5);
+
+        let short = labeled(&[3, 1]);
+        let mut r = StateReader::new(&short);
+        r.word().unwrap();
+        let err = r.slice_into(&mut dst).unwrap_err();
+        assert_eq!(
+            err,
+            SnapshotError::InSection {
+                section: "body",
+                offset: 2,
+                source: Box::new(SnapshotError::Exhausted { at: 3 }),
+            }
+        );
+        assert_eq!(dst, [u64::MAX, 0, 1 << 40], "dst untouched on error");
+    }
+
+    #[test]
+    fn decode_u32_labels_the_rejected_word() {
+        let state = labeled(&[1, 9]);
+        let mut r = StateReader::new(&state);
+        r.word().unwrap();
+        let odd = |v: u32| (v % 2 == 1).then_some(v);
+        assert_eq!(r.decode_u32(odd), Ok(1));
+        let err = r.decode_u32(|v| (v < 4).then_some(v)).unwrap_err();
+        assert_eq!(
+            err,
+            SnapshotError::InSection {
+                section: "body",
+                offset: 1,
+                source: Box::new(SnapshotError::Corrupt { at: 2 }),
+            }
+        );
+    }
+
+    #[test]
+    fn save_into_a_dirty_larger_buffer_equals_save_to_vec() {
+        let w = Widget {
+            counter: 3,
+            armed: true,
+            fifo: vec![4, 5],
+        };
+        let mut buf = StateVec::new();
+        StateWriter::new(&mut buf).section("stale").slice(&[1; 64]);
+        let cap = buf.words.capacity();
+        save_into(&w, &mut buf);
+        assert_eq!(buf.words(), save_to_vec(&w).words());
+        assert!(buf.sections().is_empty(), "stale labels are cleared");
+        assert_eq!(buf.words.capacity(), cap, "the buffer is reused");
+
+        buf.clear();
+        assert!(buf.is_empty());
+        assert_eq!(buf.words.capacity(), cap, "clear keeps capacity");
     }
 
     #[test]
