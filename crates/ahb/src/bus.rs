@@ -13,19 +13,22 @@ use crate::{AhbMaster, AhbSlave};
 use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter, Trace};
 use std::fmt;
 
-/// Packs one cycle's Moore outputs into a canonical trace record.
+/// Most masters and most slaves one bus carries: HSPLIT and IRQ are 16-bit
+/// vectors.
+pub const MAX_COMPONENTS: usize = 16;
+
+/// One cycle's Moore outputs as a canonical trace record (each master's
+/// packed words in index order, then each slave's).
 ///
 /// Both the golden bus and the split co-emulation use this encoding, so traces
 /// compare directly.
-pub fn pack_cycle_record(masters: &[MasterSignals], slaves: &[SlaveSignals]) -> Vec<u64> {
-    let mut rec = Vec::with_capacity(masters.len() * 3 + slaves.len() * 2);
-    for m in masters {
-        rec.extend(m.pack().iter().map(|&w| w as u64));
-    }
-    for s in slaves {
-        rec.extend(s.pack().iter().map(|&w| w as u64));
-    }
-    rec
+pub fn pack_cycle_record<'a>(
+    masters: &'a [MasterSignals],
+    slaves: &'a [SlaveSignals],
+) -> impl Iterator<Item = u64> + 'a {
+    let m = masters.iter().flat_map(MasterSignals::pack);
+    let s = slaves.iter().flat_map(SlaveSignals::pack);
+    m.chain(s).map(u64::from)
 }
 
 /// Bus construction failure.
@@ -138,12 +141,12 @@ impl AhbBusBuilder {
         if self.masters.is_empty() {
             return Err(BusConfigError::NoMasters);
         }
-        if self.masters.len() > 16 {
+        if self.masters.len() > MAX_COMPONENTS {
             return Err(BusConfigError::TooManyComponents {
                 count: self.masters.len(),
             });
         }
-        if self.slaves.len() > 16 {
+        if self.slaves.len() > MAX_COMPONENTS {
             return Err(BusConfigError::TooManyComponents {
                 count: self.slaves.len(),
             });
@@ -207,15 +210,24 @@ impl AhbBus {
 
     /// Evaluates one clock cycle, returning the derived view.
     pub fn tick(&mut self) -> CycleView {
-        let m_out: Vec<MasterSignals> = self.masters.iter().map(|m| m.outputs()).collect();
-        let s_out: Vec<SlaveSignals> = self.slaves.iter().map(|s| s.outputs()).collect();
-        let view = self.fabric.view(&m_out, &s_out);
+        let mut m_buf = [MasterSignals::idle(); MAX_COMPONENTS];
+        let mut s_buf = [SlaveSignals::idle(); MAX_COMPONENTS];
+        let m_out = &mut m_buf[..self.masters.len()];
+        let s_out = &mut s_buf[..self.slaves.len()];
+        for (out, m) in m_out.iter_mut().zip(&self.masters) {
+            *out = m.outputs();
+        }
+        for (out, s) in s_out.iter_mut().zip(&self.slaves) {
+            *out = s.outputs();
+        }
+        let (m_out, s_out) = (&*m_out, &*s_out);
+        let view = self.fabric.view(m_out, s_out);
 
         if let Some(checker) = &mut self.checker {
-            checker.check(self.cycle, &view, &m_out, &s_out);
+            checker.check(self.cycle, &view, m_out, s_out);
         }
         if self.trace_enabled {
-            self.trace.record(pack_cycle_record(&m_out, &s_out));
+            self.trace.record(pack_cycle_record(m_out, s_out));
         }
 
         for (i, m) in self.masters.iter_mut().enumerate() {
@@ -224,7 +236,7 @@ impl AhbBus {
         for (j, s) in self.slaves.iter_mut().enumerate() {
             s.tick(&self.fabric.slave_view(&view, SlaveId(j)));
         }
-        self.fabric.tick(&view, &m_out, &s_out);
+        self.fabric.tick(&view, m_out, s_out);
         self.cycle += 1;
         view
     }

@@ -160,17 +160,15 @@ impl ProtocolChecker {
                                 "control changed mid-burst".to_string(),
                             );
                         }
-                        let expected = match pap.trans {
+                        let advanced = next_addr(pap.addr, pap.size, pap.burst);
+                        let (either, n) = match pap.trans {
                             // After an accepted beat the address advances; after
                             // BUSY or a stalled beat it may advance or hold.
-                            Htrans::Nonseq | Htrans::Seq if prev.view.hready => {
-                                vec![next_addr(pap.addr, pap.size, pap.burst)]
-                            }
-                            Htrans::Busy => {
-                                vec![pap.addr]
-                            }
-                            _ => vec![pap.addr, next_addr(pap.addr, pap.size, pap.burst)],
+                            Htrans::Nonseq | Htrans::Seq if prev.view.hready => ([advanced; 2], 1),
+                            Htrans::Busy => ([pap.addr; 2], 1),
+                            _ => ([pap.addr, advanced], 2),
                         };
+                        let expected = &either[..n];
                         if !expected.contains(&ap.addr) {
                             self.report(
                                 cycle,
@@ -271,9 +269,13 @@ impl ProtocolChecker {
             );
         }
 
+        // Keep this cycle for the next check in the last one's buffer.
+        let mut prev_masters = prev_taken.map(|p| p.masters).unwrap_or_default();
+        prev_masters.clear();
+        prev_masters.extend_from_slice(masters);
         self.prev = Some(PrevCycle {
             view: *view,
-            masters: masters.to_vec(),
+            masters: prev_masters,
         });
     }
 }

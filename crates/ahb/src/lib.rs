@@ -56,7 +56,7 @@ pub mod signals;
 pub mod slaves;
 pub mod txn;
 
-pub use bus::{AhbBus, AhbBusBuilder, BusConfigError};
+pub use bus::{AhbBus, AhbBusBuilder, BusConfigError, MAX_COMPONENTS};
 pub use fabric::{CycleView, Fabric};
 pub use signals::{
     AddrPhase, Hburst, Hresp, Hsize, Htrans, MasterId, MasterSignals, MasterView, SlaveId,

@@ -350,7 +350,7 @@ mod tests {
             rdata: 7,
             ..SlaveSignals::idle()
         }];
-        let rec = pack_cycle_record(&m, &s);
+        let rec: Vec<u64> = pack_cycle_record(&m, &s).collect();
         let (m2, s2) = unpack_cycle_record(&rec, 1, 1).unwrap();
         assert_eq!(m, m2);
         assert_eq!(s, s2);

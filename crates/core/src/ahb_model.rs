@@ -20,7 +20,7 @@ use crate::blueprint::Placement;
 use crate::model::{DomainModel, TickKind};
 use predpkt_ahb::fabric::{CycleView, Fabric};
 use predpkt_ahb::signals::{MasterId, MasterSignals, SlaveId, SlaveSignals};
-use predpkt_ahb::{AhbMaster, AhbSlave};
+use predpkt_ahb::{AhbMaster, AhbSlave, MAX_COMPONENTS};
 use predpkt_channel::Side;
 use predpkt_predict::{MasterPredictor, PredictorSuite, SlavePredictor};
 use predpkt_sim::{Snapshot, SnapshotError, StateReader, StateWriter, Trace, TraceMark};
@@ -49,7 +49,8 @@ impl AhbDomainModel {
     ///
     /// # Panics
     ///
-    /// Panics if a slot contradicts the placement.
+    /// Panics if a slot contradicts the placement, or on more than
+    /// [`MAX_COMPONENTS`] masters or slaves.
     pub(crate) fn new(
         side: Side,
         placement: Placement,
@@ -60,6 +61,10 @@ impl AhbDomainModel {
     ) -> Self {
         assert_eq!(masters.len(), placement.masters.len());
         assert_eq!(slaves.len(), placement.slaves.len());
+        assert!(
+            masters.len() <= MAX_COMPONENTS && slaves.len() <= MAX_COMPONENTS,
+            "at most {MAX_COMPONENTS} masters and slaves"
+        );
         for (i, m) in masters.iter().enumerate() {
             assert_eq!(
                 m.is_some(),
@@ -109,27 +114,24 @@ impl AhbDomainModel {
         self.placement.slaves[j] == self.side
     }
 
-    /// Full per-cycle signal vectors: local Moore outputs + remote proxies.
-    fn full_vectors(&self) -> (Vec<MasterSignals>, Vec<SlaveSignals>) {
-        let m = self
-            .masters
-            .iter()
-            .enumerate()
-            .map(|(i, slot)| match slot {
+    /// The full per-cycle signal vectors, local Moore outputs + remote
+    /// proxies, in stack arrays whose first `masters.len()`/`slaves.len()`
+    /// entries are live.
+    fn full_vectors(&self) -> FullVectors {
+        let mut full = FullVectors::idle();
+        for (i, slot) in self.masters.iter().enumerate() {
+            full.m[i] = match slot {
                 Some(c) => c.outputs(),
                 None => self.remote_m[i],
-            })
-            .collect();
-        let s = self
-            .slaves
-            .iter()
-            .enumerate()
-            .map(|(j, slot)| match slot {
+            };
+        }
+        for (j, slot) in self.slaves.iter().enumerate() {
+            full.s[j] = match slot {
                 Some(c) => c.outputs(),
                 None => self.remote_s[j],
-            })
-            .collect();
-        (m, s)
+            };
+        }
+        full
     }
 
     /// Unpacks the peer's packed outputs into the remote proxy slots.
@@ -167,74 +169,85 @@ impl AhbDomainModel {
         out
     }
 
-    /// The MSABS active projection of this domain's local outputs under `view`
-    /// (see the module docs). `local` must be this domain's packed outputs or a
-    /// prediction of them.
-    fn project_local(&self, local: &[u32], view: &CycleView, leader: Side) -> Option<Vec<u32>> {
-        let mut out = Vec::new();
-        let mut at = 0;
-        for i in 0..self.masters.len() {
-            if !self.is_local_master(i) {
-                continue;
+    /// The MSABS active projection of local master `i`'s signals `sig` under
+    /// `view` (see the module docs). Positions a cycle leaves inactive stay
+    /// zero; which positions are active depends only on `view` and the
+    /// placement, so two projections of one master compare word for word.
+    fn master_projection(
+        &self,
+        i: usize,
+        sig: &MasterSignals,
+        view: &CycleView,
+        leader: Side,
+    ) -> [u32; 8] {
+        let mut out = [0; 8];
+        // Arbitration requests: always active.
+        out[0] = sig.busreq as u32 | (sig.lock as u32) << 1;
+        // Address/control: only for the granted master.
+        if view.grant == MasterId(i) {
+            out[1] = sig.trans.encode();
+            out[2] = sig.addr;
+            out[3] = sig.write as u32;
+            out[4] = sig.size.encode();
+            out[5] = sig.burst.encode();
+            out[6] = sig.prot as u32;
+        }
+        // Write data: only when this master's write data phase must be
+        // visible to the leader domain (slave local to the leader).
+        if let Some(dp) = &view.dp {
+            if dp.write
+                && dp.master == MasterId(i)
+                && matches!(dp.slave, Some(s) if self.placement.slaves[s.0] == leader)
+            {
+                out[7] = sig.wdata;
             }
-            let chunk = [local[at], local[at + 1], local[at + 2]];
-            at += 3;
-            let sig = MasterSignals::unpack(&chunk)?;
-            // Arbitration requests: always active.
-            out.push(sig.busreq as u32 | (sig.lock as u32) << 1);
-            // Address/control: only for the granted master.
-            if view.grant == MasterId(i) {
-                out.push(sig.trans.encode());
-                out.push(sig.addr);
-                out.push(sig.write as u32);
-                out.push(sig.size.encode());
-                out.push(sig.burst.encode());
-                out.push(sig.prot as u32);
-            }
-            // Write data: only when this master's write data phase must be
-            // visible to the leader domain (slave local to the leader).
-            if let Some(dp) = &view.dp {
-                if dp.write && dp.master == MasterId(i) {
-                    let slave_visible = match dp.slave {
-                        Some(s) => self.placement.slaves[s.0] == leader,
-                        None => false,
-                    };
-                    if slave_visible {
-                        out.push(sig.wdata);
-                    }
+        }
+        out
+    }
+
+    /// The MSABS active projection of local slave `j`'s signals `sig` (see
+    /// [`master_projection`](Self::master_projection)).
+    fn slave_projection(
+        &self,
+        j: usize,
+        sig: &SlaveSignals,
+        view: &CycleView,
+        leader: Side,
+    ) -> [u32; 5] {
+        let mut out = [0; 5];
+        // HSPLIT and IRQ: always active.
+        out[0] = sig.split_unmask as u32;
+        out[1] = sig.irq as u32;
+        // Ready/response: only for the data-phase slave.
+        if let Some(dp) = &view.dp {
+            if dp.slave == Some(SlaveId(j)) {
+                out[2] = sig.ready as u32;
+                out[3] = sig.resp.encode();
+                // Read data: only when a leader-side master consumes it.
+                if !dp.write && self.placement.masters[dp.master.0] == leader {
+                    out[4] = sig.rdata;
                 }
             }
         }
-        for j in 0..self.slaves.len() {
-            if !self.is_local_slave(j) {
-                continue;
-            }
-            let chunk = [local[at], local[at + 1]];
-            at += 2;
-            let sig = SlaveSignals::unpack(&chunk)?;
-            // HSPLIT and IRQ: always active.
-            out.push(sig.split_unmask as u32);
-            out.push(sig.irq as u32);
-            // Ready/response: only for the data-phase slave.
-            if let Some(dp) = &view.dp {
-                if dp.slave == Some(SlaveId(j)) {
-                    out.push(sig.ready as u32);
-                    out.push(sig.resp.encode());
-                    // Read data: only when a leader-side master consumes it.
-                    if !dp.write && self.placement.masters[dp.master.0] == leader {
-                        out.push(sig.rdata);
-                    }
-                }
-            }
-        }
-        Some(out)
+        out
     }
 
     /// Tick the fabric and local components one cycle given assembled vectors.
     fn advance(&mut self, full_m: &[MasterSignals], full_s: &[SlaveSignals], view: &CycleView) {
         // Record the committed local outputs before state changes.
-        self.trace
-            .record(self.pack_local().iter().map(|&w| w as u64).collect());
+        let local_m = full_m.iter().zip(&self.masters);
+        let local_s = full_s.iter().zip(&self.slaves);
+        self.trace.record(
+            local_m
+                .filter(|(_, slot)| slot.is_some())
+                .flat_map(|(sig, _)| sig.pack())
+                .chain(
+                    local_s
+                        .filter(|(_, slot)| slot.is_some())
+                        .flat_map(|(sig, _)| sig.pack()),
+                )
+                .map(u64::from),
+        );
 
         for (i, slot) in self.masters.iter_mut().enumerate() {
             if let Some(c) = slot {
@@ -379,8 +392,9 @@ impl DomainModel for AhbDomainModel {
 
     fn tick(&mut self, remote: &[u32], kind: TickKind) {
         self.load_remote(remote);
-        let (full_m, full_s) = self.full_vectors();
-        let view = self.fabric.view(&full_m, &full_s);
+        let full = self.full_vectors();
+        let (full_m, full_s) = (&full.m[..self.masters.len()], &full.s[..self.slaves.len()]);
+        let view = self.fabric.view(full_m, full_s);
 
         if kind == TickKind::Actual {
             // Train predictors on the observed remote values.
@@ -400,44 +414,67 @@ impl DomainModel for AhbDomainModel {
                 }
             }
         }
-        self.advance(&full_m, &full_s, &view);
+        self.advance(full_m, full_s, &view);
     }
 
     fn verify_prediction(&self, leader_outputs: &[u32], predicted_me: &[u32]) -> bool {
-        // Build the cycle view from actual values (leader outputs + our own).
-        let mut remote_m = self.remote_m.clone();
-        let mut remote_s = self.remote_s.clone();
-        self.unpack_remote_into(leader_outputs, &mut remote_m, &mut remote_s);
-        let full_m: Vec<MasterSignals> = self
-            .masters
-            .iter()
-            .enumerate()
-            .map(|(i, slot)| match slot {
-                Some(c) => c.outputs(),
-                None => remote_m[i],
-            })
-            .collect();
-        let full_s: Vec<SlaveSignals> = self
-            .slaves
-            .iter()
-            .enumerate()
-            .map(|(j, slot)| match slot {
-                Some(c) => c.outputs(),
-                None => remote_s[j],
-            })
-            .collect();
-        let view = self.fabric.view(&full_m, &full_s);
-
-        let leader = self.side.peer();
-        let actual_local = self.pack_local();
-        match (
-            self.project_local(&actual_local, &view, leader),
-            self.project_local(predicted_me, &view, leader),
-        ) {
-            (Some(a), Some(p)) => a == p,
-            // A malformed prediction never verifies.
-            _ => false,
+        // Build the cycle view from actual values: our own outputs, and the
+        // leader's wherever they unpack (the proxies elsewhere).
+        let (nm, ns) = (self.masters.len(), self.slaves.len());
+        let FullVectors {
+            m: mut full_m,
+            s: mut full_s,
+        } = self.full_vectors();
+        let mut at = 0;
+        for i in (0..nm).filter(|&i| !self.is_local_master(i)) {
+            let chunk = [
+                leader_outputs[at],
+                leader_outputs[at + 1],
+                leader_outputs[at + 2],
+            ];
+            at += 3;
+            if let Some(sig) = MasterSignals::unpack(&chunk) {
+                full_m[i] = sig;
+            }
         }
+        for j in (0..ns).filter(|&j| !self.is_local_slave(j)) {
+            let chunk = [leader_outputs[at], leader_outputs[at + 1]];
+            at += 2;
+            if let Some(sig) = SlaveSignals::unpack(&chunk) {
+                full_s[j] = sig;
+            }
+        }
+        let view = self.fabric.view(&full_m[..nm], &full_s[..ns]);
+
+        // Compare the actual and predicted projections component by
+        // component. A malformed prediction never verifies.
+        let leader = self.side.peer();
+        let mut at = 0;
+        for i in (0..nm).filter(|&i| self.is_local_master(i)) {
+            let chunk = [predicted_me[at], predicted_me[at + 1], predicted_me[at + 2]];
+            at += 3;
+            let Some(predicted) = MasterSignals::unpack(&chunk) else {
+                return false;
+            };
+            if self.master_projection(i, &full_m[i], &view, leader)
+                != self.master_projection(i, &predicted, &view, leader)
+            {
+                return false;
+            }
+        }
+        for j in (0..ns).filter(|&j| self.is_local_slave(j)) {
+            let chunk = [predicted_me[at], predicted_me[at + 1]];
+            at += 2;
+            let Some(predicted) = SlaveSignals::unpack(&chunk) else {
+                return false;
+            };
+            if self.slave_projection(j, &full_s[j], &view, leader)
+                != self.slave_projection(j, &predicted, &view, leader)
+            {
+                return false;
+            }
+        }
+        true
     }
 
     fn trace(&self) -> &Trace {
@@ -457,32 +494,18 @@ impl DomainModel for AhbDomainModel {
     }
 }
 
-impl AhbDomainModel {
-    /// Helper used by `verify_prediction` (non-destructive remote unpack).
-    fn unpack_remote_into(
-        &self,
-        words: &[u32],
-        remote_m: &mut [MasterSignals],
-        remote_s: &mut [SlaveSignals],
-    ) {
-        let mut at = 0;
-        for (i, slot) in remote_m.iter_mut().enumerate() {
-            if !self.is_local_master(i) {
-                let chunk = [words[at], words[at + 1], words[at + 2]];
-                if let Some(sig) = MasterSignals::unpack(&chunk) {
-                    *slot = sig;
-                }
-                at += 3;
-            }
-        }
-        for (j, slot) in remote_s.iter_mut().enumerate() {
-            if !self.is_local_slave(j) {
-                let chunk = [words[at], words[at + 1]];
-                if let Some(sig) = SlaveSignals::unpack(&chunk) {
-                    *slot = sig;
-                }
-                at += 2;
-            }
+/// One cycle's full master and slave signal vectors on the stack: a bus
+/// carries at most [`MAX_COMPONENTS`] of each.
+struct FullVectors {
+    m: [MasterSignals; MAX_COMPONENTS],
+    s: [SlaveSignals; MAX_COMPONENTS],
+}
+
+impl FullVectors {
+    fn idle() -> Self {
+        FullVectors {
+            m: [MasterSignals::idle(); MAX_COMPONENTS],
+            s: [SlaveSignals::idle(); MAX_COMPONENTS],
         }
     }
 }

@@ -10,7 +10,7 @@ use crate::ahb_model::AhbDomainModel;
 use predpkt_ahb::bus::{AhbBus, BusConfigError};
 use predpkt_ahb::fabric::{Arbiter, Decoder, Fabric, Region};
 use predpkt_ahb::signals::{MasterId, SlaveId};
-use predpkt_ahb::{AhbMaster, AhbSlave};
+use predpkt_ahb::{AhbMaster, AhbSlave, MAX_COMPONENTS};
 use predpkt_channel::Side;
 use predpkt_predict::{PaperSuite, PredictorSuite};
 
@@ -150,6 +150,11 @@ impl SocBlueprint {
     }
 
     fn fresh_fabric(&self) -> Result<Fabric, BusConfigError> {
+        for count in [self.masters.len(), self.slaves.len()] {
+            if count > MAX_COMPONENTS {
+                return Err(BusConfigError::TooManyComponents { count });
+            }
+        }
         let decoder = Decoder::new(self.regions())?;
         let arbiter = Arbiter::new(self.masters.len().max(1), MasterId(self.default_master));
         Ok(Fabric::new(arbiter, decoder))
@@ -187,7 +192,8 @@ impl SocBlueprint {
     ///
     /// # Errors
     ///
-    /// Propagates [`BusConfigError`] for broken address maps.
+    /// Propagates [`BusConfigError`] for broken address maps or more than
+    /// [`MAX_COMPONENTS`] masters or slaves.
     pub fn build_domain_with(
         &self,
         side: Side,
@@ -296,5 +302,19 @@ mod tests {
             slaves: vec![Side::Simulator],
         };
         assert!(!p.is_split());
+    }
+
+    #[test]
+    fn too_many_slaves_is_a_config_error() {
+        let mut soc = blueprint();
+        for k in 0..MAX_COMPONENTS as u32 {
+            soc = soc.slave(Side::Simulator, 0x10_0000 + k * 0x1000, 0x1000, || {
+                Box::new(MemorySlave::new(0x1000, 0))
+            });
+        }
+        assert!(matches!(
+            soc.build_domain(Side::Simulator),
+            Err(BusConfigError::TooManyComponents { count: 18 })
+        ));
     }
 }

@@ -455,11 +455,12 @@ impl<M: DomainModel, T: Transport> CoEmulator<M, T> {
         Ok(SliceStatus::Working)
     }
 
-    /// Finishes a run at the halt: both wrappers drop their rollback
-    /// buffers, so a finished session holds no snapshot-sized allocation.
+    /// Finishes a run at the halt: both wrappers drop their transition
+    /// buffers, so a finished session holds no snapshot- or LOB-sized
+    /// allocation.
     fn done(&mut self) -> SliceStatus {
-        self.sim.release_rollback_buffer();
-        self.acc.release_rollback_buffer();
+        self.sim.release_transition_buffers();
+        self.acc.release_transition_buffers();
         SliceStatus::Done
     }
 

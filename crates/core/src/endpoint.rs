@@ -73,10 +73,10 @@ impl<M: DomainModel> Port<M> {
     }
 
     /// Runs once the port halts: pushes the batching outbox out and frees
-    /// the wrapper's rollback buffer (no rollback point is live at a halt).
+    /// the wrapper's transition buffers (no transition is live at a halt).
     fn finish(&mut self) {
         self.ch.flush();
-        self.wrapper.release_rollback_buffer();
+        self.wrapper.release_transition_buffers();
     }
 
     /// Steps this port's protocol engine once.

@@ -12,9 +12,8 @@
 //! | `ReportSuccess` | R-path | lagger's next-cycle outputs |
 //! | `ReportFailure` | L-5 | failing index, actual outputs, next-cycle outputs |
 
-use crate::wrapper::lob_entries_to_blocks;
 use predpkt_channel::{Packet, PacketTag};
-use predpkt_predict::{decode_block, encode_block, LobEntry};
+use predpkt_predict::{block_header, decode_rows, encode_rows, max_block_words, LobEntry};
 use std::error::Error;
 use std::fmt;
 
@@ -121,7 +120,27 @@ impl Message {
                 entries,
                 leader_next,
             } => {
-                let mut payload = encode_block(&lob_entries_to_blocks(entries, remote_width));
+                // One delta row per entry: `[has_prediction, local…,
+                // prediction-or-zeros…]`, encoded straight from the entries.
+                let width = entries
+                    .first()
+                    .map_or(0, |e| 1 + e.local.len() + remote_width);
+                let mut payload =
+                    Vec::with_capacity(max_block_words(entries.len(), width) + leader_next.len());
+                encode_rows(
+                    entries,
+                    width,
+                    |e, row| {
+                        let (head, predicted) = row.split_at_mut(1 + e.local.len());
+                        head[0] = u32::from(e.predicted.is_some());
+                        head[1..].copy_from_slice(&e.local);
+                        match &e.predicted {
+                            Some(p) => predicted.copy_from_slice(p),
+                            None => predicted.fill(0),
+                        }
+                    },
+                    &mut payload,
+                );
                 payload.extend_from_slice(leader_next);
                 Packet::new(PacketTag::Burst, payload)
             }
@@ -171,29 +190,26 @@ impl Message {
             }
             PacketTag::Burst => {
                 // The sender's remote width is OUR local width: entries embed
-                // predictions of our outputs.
-                let blocks = decode_block(p).or_else(|_| {
-                    // The block is a prefix of the payload; decode greedily by
-                    // re-trying with the trailing leader_next words removed.
-                    if p.len() < remote_width {
-                        return Err(ProtocolError::Truncated { tag: packet.tag() });
-                    }
-                    decode_block(&p[..p.len() - remote_width]).map_err(|_| ProtocolError::BadBlock)
-                });
-                let blocks = blocks?;
+                // predictions of our outputs. The block is a prefix of the
+                // payload; the leader's next outputs follow it.
                 let entry_words = 1 + remote_width + local_width;
-                let mut entries = Vec::with_capacity(blocks.len());
-                for b in &blocks {
-                    if b.len() != entry_words {
-                        return Err(ProtocolError::BadBlock);
-                    }
-                    let has_prediction = b[0] != 0;
-                    let local = b[1..1 + remote_width].to_vec();
-                    let predicted = has_prediction.then(|| b[1 + remote_width..].to_vec());
-                    entries.push(LobEntry { local, predicted });
+                let (count, width) =
+                    block_header(p).map_err(|_| ProtocolError::Truncated { tag: packet.tag() })?;
+                if count > 0 && width != entry_words {
+                    return Err(ProtocolError::WidthMismatch {
+                        announced: width,
+                        expected: entry_words,
+                    });
                 }
-                let block_len = encode_block(&blocks).len();
-                let rest = &p[block_len..];
+                let mut entries = Vec::with_capacity(count.min(p.len()));
+                let used = decode_rows(p, |row| {
+                    entries.push(LobEntry {
+                        local: row[1..1 + remote_width].to_vec(),
+                        predicted: (row[0] != 0).then(|| row[1 + remote_width..].to_vec()),
+                    })
+                })
+                .map_err(|_| ProtocolError::BadBlock)?;
+                let rest = &p[used..];
                 if rest.len() != remote_width {
                     return Err(ProtocolError::Truncated { tag: packet.tag() });
                 }
@@ -337,5 +353,39 @@ mod tests {
         }
         .to_string()
         .contains("width mismatch"));
+    }
+
+    /// Hostile burst headers are typed errors: no allocation is sized from
+    /// a wire count, and no row is decoded at the wrong width.
+    #[test]
+    fn hostile_burst_headers_are_rejected() {
+        let burst =
+            |payload: Vec<u32>| Message::decode(&Packet::new(PacketTag::Burst, payload), RW, LW);
+        // The receiver's rows are 1 flag + 3 leader words + 2 predicted.
+        assert_eq!(
+            burst(vec![u32::MAX, 3, 1, 2, 3]),
+            Err(ProtocolError::WidthMismatch {
+                announced: 3,
+                expected: 6
+            })
+        );
+        assert_eq!(
+            burst(vec![u32::MAX, 0]),
+            Err(ProtocolError::WidthMismatch {
+                announced: 0,
+                expected: 6
+            })
+        );
+        // The right width with a count the payload cannot hold.
+        assert_eq!(
+            burst(vec![u32::MAX, 6, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
+            Err(ProtocolError::BadBlock)
+        );
+        assert_eq!(
+            burst(vec![1]),
+            Err(ProtocolError::Truncated {
+                tag: PacketTag::Burst
+            })
+        );
     }
 }

@@ -29,27 +29,6 @@ use predpkt_sim::{
 };
 use std::fmt;
 
-/// Converts LOB entries into fixed-width blocks for the delta packetizer
-/// (`[has_prediction, local…, prediction-or-zeros…]`).
-pub(crate) fn lob_entries_to_blocks(
-    entries: &[LobEntry],
-    prediction_width: usize,
-) -> Vec<Vec<u32>> {
-    entries
-        .iter()
-        .map(|e| {
-            let mut b = Vec::with_capacity(1 + e.local.len() + prediction_width);
-            b.push(e.predicted.is_some() as u32);
-            b.extend_from_slice(&e.local);
-            match &e.predicted {
-                Some(p) => b.extend_from_slice(p),
-                None => b.extend(std::iter::repeat(0).take(prediction_width)),
-            }
-            b
-        })
-        .collect()
-}
-
 /// Operating-mode policy: who may lead, and whether prediction is allowed
 /// (paper §2: SLA, ALS, and the conventional conservative mode; §3 problem 4:
 /// dynamic mode decisions).
@@ -279,13 +258,14 @@ pub struct ChannelWrapper<M: DomainModel> {
     /// One buffer serves every transition — each snapshot is saved over the
     /// last one into the capacity already there, and a rollback restores
     /// straight from it. Its words are live only while `snapshot_mark` is
-    /// set; [`release_rollback_buffer`](Self::release_rollback_buffer)
+    /// set; [`release_transition_buffers`](Self::release_transition_buffers)
     /// frees it once the wrapper halts.
     snapshot: StateVec,
     /// Trace mark at the transition start: `Some` exactly while `snapshot`
     /// holds the rollback point of the current transition.
     snapshot_mark: Option<TraceMark>,
-    /// Entries in flight after a flush (for roll-forth replay).
+    /// Entries in flight after a flush (for roll-forth replay). Its buffer
+    /// alternates with the LOB's: each flush hands the last one back.
     inflight: Vec<LobEntry>,
     /// Actual remote values used by the head cycle of the current transition
     /// (retained for replay).
@@ -491,16 +471,21 @@ impl<M: DomainModel> ChannelWrapper<M> {
         self.snapshot_mark = Some(self.model.trace_mark());
     }
 
-    /// Frees the rollback buffer. Called when the wrapper halts at a
-    /// boundary, where no rollback point is live: a finished session kept
-    /// around (a farm's session table) then holds no snapshot-sized buffer,
-    /// and a resumed run simply grows it again on its first transition.
-    pub(crate) fn release_rollback_buffer(&mut self) {
+    /// Frees the buffers a transition works in: the rollback snapshot, the
+    /// in-flight entries and the LOB's. Called when the wrapper halts at a
+    /// boundary, where none of them is live: a finished session kept around
+    /// (a farm's session table) then holds no transition-sized buffer, and a
+    /// resumed run simply grows them again on its first transition.
+    pub(crate) fn release_transition_buffers(&mut self) {
         debug_assert!(
             self.snapshot_mark.is_none(),
             "released a live rollback point"
         );
+        debug_assert!(self.lob.is_empty(), "released a filled LOB");
         self.snapshot = StateVec::new();
+        self.inflight = Vec::new();
+        // The drained (empty) buffer is dropped; the LOB starts a new one.
+        let _ = self.lob.drain();
     }
 
     /// Runs one scheduling quantum. Returns [`Progress::Blocked`] when waiting
@@ -611,26 +596,25 @@ impl<M: DomainModel> ChannelWrapper<M> {
                 if self.lob.predictions() >= self.cur_depth
                     || (self.model.needs_sync() && !self.lob.is_empty())
                 {
-                    // S-path: flush the LOB as one burst.
-                    let entries = self.lob.drain();
+                    // S-path: flush the LOB as one burst. The entries stay
+                    // in flight for roll-forth; the last flush's buffer goes
+                    // back to the LOB.
                     obs.on_event(
                         self.side,
                         &EmuEvent::LobFlush {
-                            entries: entries.len(),
-                            predictions: entries.iter().filter(|e| e.predicted.is_some()).count(),
+                            entries: self.lob.len(),
+                            predictions: self.lob.predictions(),
                         },
                     );
-                    self.inflight = entries.clone();
-                    let leader_next = self.model.local_outputs();
-                    self.send(
-                        channel,
-                        ledger,
-                        &Message::Burst {
-                            entries,
-                            leader_next,
-                        },
-                        obs,
-                    );
+                    let entries = self.lob.drain_reusing(std::mem::take(&mut self.inflight));
+                    let burst = Message::Burst {
+                        entries,
+                        leader_next: self.model.local_outputs(),
+                    };
+                    self.send(channel, ledger, &burst, obs);
+                    if let Message::Burst { entries, .. } = burst {
+                        self.inflight = entries;
+                    }
                     self.stats.flushes += 1;
                     self.stats.bump(PaperPath::S);
                     // Strategy-coordination words (adaptive suites) piggyback
@@ -650,13 +634,13 @@ impl<M: DomainModel> ChannelWrapper<M> {
                 // P-path: one optimistic cycle.
                 let local = self.model.local_outputs();
                 let predicted = self.model.predict_remote();
+                self.model.tick(&predicted, TickKind::Predicted);
                 self.lob
                     .push(LobEntry {
                         local,
-                        predicted: Some(predicted.clone()),
+                        predicted: Some(predicted),
                     })
                     .expect("checked is_full above");
-                self.model.tick(&predicted, TickKind::Predicted);
                 self.bill_cycle(ledger, costs);
                 self.stats.predicted_cycles += 1;
                 self.stats.bump(PaperPath::P);
@@ -848,7 +832,7 @@ impl<M: DomainModel> ChannelWrapper<M> {
         // (projection-verified, so state evolution matches the lagger), then
         // the failing cycle with the reported actuals. Head entries executed on
         // actual values are *inside* the snapshot and must not be replayed.
-        let inflight = std::mem::take(&mut self.inflight);
+        let mut inflight = std::mem::take(&mut self.inflight);
         self.head_actuals = None;
         let head_count = inflight
             .iter()
@@ -872,6 +856,9 @@ impl<M: DomainModel> ChannelWrapper<M> {
             self.stats.replayed_cycles += 1;
             self.stats.bump(PaperPath::F);
         }
+        // Done with the entries; the buffer goes back for the next flush.
+        inflight.clear();
+        self.inflight = inflight;
         self.model.tick(actual, TickKind::Actual);
         self.bill_cycle(ledger, costs);
         self.stats.replayed_cycles += 1;

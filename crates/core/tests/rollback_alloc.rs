@@ -6,61 +6,16 @@
 //! `save_into` a buffer that already held a same-size snapshot, and a
 //! restore overwrites the vectors in place.
 //!
-//! A counting global allocator tallies allocations per thread, so the test
-//! harness's other threads cannot disturb the count.
+//! The counting allocator (`alloc_counter`) tallies allocations per thread,
+//! so the test harness's other threads cannot disturb the count.
 
+mod alloc_counter;
 mod common;
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
+use alloc_counter::allocations_during;
 use common::figure2_soc;
 use predpkt_core::{AhbDomainModel, DomainModel, TickKind};
 use predpkt_sim::{restore_from_vec, save_into, StateVec};
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Forwards to the system allocator, counting every allocation and
-/// reallocation made by the current thread.
-struct CountingAlloc;
-
-fn count_one() {
-    // `try_with`: the allocator also runs while thread-locals are torn down.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Heap allocations `f` makes on this thread.
-fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
-}
 
 /// Checks both directions at one cut of `model`, after one warm-up each.
 fn assert_warm_rollback_is_allocation_free(name: &str, model: &mut AhbDomainModel) {

@@ -6,10 +6,11 @@
 //!   own outputs plus the prediction it used, buffered during run-ahead and
 //!   flushed as one burst. Its depth bounds the number of predictions per
 //!   transition (the paper evaluates depths 8 and 64).
-//! * [`encode_block`] / [`decode_block`] — the packetizer: consecutive cycles
+//! * [`encode_rows`] / [`decode_rows`] — the packetizer: consecutive cycles
 //!   differ in few signals, so entries are encoded as change-mask + changed
 //!   words, shrinking flush payloads (the paper's dynamic packetizing
-//!   decision #3).
+//!   decision #3). [`encode_block`] / [`decode_block`] wrap them for rows
+//!   held as vectors.
 //! * Predictors for each signal class of the paper's §3 analysis:
 //!   [`BurstFollower`] (address/control: linear within a burst),
 //!   [`WaitPredictor`] (slave responses: producer–consumer wait patterns),
@@ -93,7 +94,10 @@ pub use adaptive::{
     AdaptiveConfig, AdaptiveMasterPredictor, AdaptiveSlavePredictor, AdaptiveSuite,
 };
 pub use context::{ContextMasterPredictor, ContextSlavePredictor, ContextTable, MarkovSuite};
-pub use delta::{decode_block, encode_block, DeltaDecodeError};
+pub use delta::{
+    block_header, decode_block, decode_rows, encode_block, encode_rows, max_block_words,
+    DeltaDecodeError,
+};
 pub use lob::{Lob, LobEntry, LobFullError};
 pub use predictors::{BurstFollower, LastValuePredictor, WaitPredictor};
 pub use suite::{

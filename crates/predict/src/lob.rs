@@ -116,8 +116,16 @@ impl Lob {
 
     /// Empties the buffer, returning all entries in push order (the flush).
     pub fn drain(&mut self) -> Vec<LobEntry> {
+        self.drain_reusing(Vec::new())
+    }
+
+    /// [`drain`](Self::drain), buffering on in `spare`'s allocation (cleared
+    /// first), so a caller that hands back its last flush keeps two buffers
+    /// alternating instead of growing a fresh one per transition.
+    pub fn drain_reusing(&mut self, mut spare: Vec<LobEntry>) -> Vec<LobEntry> {
         self.predictions = 0;
-        std::mem::take(&mut self.entries)
+        spare.clear();
+        std::mem::replace(&mut self.entries, spare)
     }
 
     /// Borrows the buffered entries (replay after rollback).

@@ -306,10 +306,20 @@ impl<'a> StateReader<'a> {
     ///
     /// Returns [`SnapshotError::Exhausted`] on underrun.
     pub fn slice_into(&mut self, dst: &mut Vec<u64>) -> Result<(), SnapshotError> {
-        let body = self.prefixed(0)?;
+        let body = self.borrow_slice()?;
         dst.clear();
         dst.extend_from_slice(body);
         Ok(())
+    }
+
+    /// Reads a length-prefixed slice of words, borrowing them from the
+    /// vector instead of copying.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`StateReader::slice_into`].
+    pub fn borrow_slice(&mut self) -> Result<&'a [u64], SnapshotError> {
+        self.prefixed(0)
     }
 
     /// Reads a length-prefixed slice of words.
